@@ -7,14 +7,7 @@ for hypergraphs whose vertex ids are not contiguous.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-
-
-def mask_of(positions: Iterable[int]) -> int:
-    m = 0
-    for p in positions:
-        m |= 1 << p
-    return m
+from collections.abc import Iterator
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -23,17 +16,3 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
-def submasks(mask: int) -> Iterator[int]:
-    """All submasks of ``mask``, including 0 and ``mask`` itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask

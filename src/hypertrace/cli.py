@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .bench import run_bench, rows_to_csv
-from .errors import FormatError, HypertraceError, NotATreeError
+from .errors import FormatError, HypertraceError
 from .generate import generate
 from .graphs import Graph
 from .io import (
@@ -209,16 +209,7 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"hypertrace: format error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"hypertrace: {exc}", file=sys.stderr)
-        return 1
-    except NotATreeError as exc:
-        print(f"hypertrace: {exc}", file=sys.stderr)
-        return 1
-    except HypertraceError as exc:
-        print(f"hypertrace: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (FileNotFoundError, HypertraceError, ValueError) as exc:
         print(f"hypertrace: {exc}", file=sys.stderr)
         return 1
 

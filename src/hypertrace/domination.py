@@ -17,15 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import ceil, comb
+from math import ceil
 
 from .degeneracy import DegeneracyTriple, EXACT_LIMIT_DEFAULT, reduced_degeneracy
-from .errors import BudgetExceededError, NotATreeError
+from .errors import NotATreeError
 from .graphs import Graph, find_twins, neighborhood_hypergraph, tree_stats
-from .hypergraph import Hypergraph
-from .trace import CHAIN_EXACT_WORK_LIMIT, trace_function_exact
-from .transversal import BoundEntry
+from .trace import trace_value
+from .transversal import BoundEntry, separating_set
 
 KINDS = ("LD", "ID", "OLD")
 GAMMA_SUBSET_BUDGET = 5_000_000
@@ -48,26 +46,6 @@ class DominationReport:
         return max((b.ceiled for b in self.bounds), default=0)
 
 
-def _closed_masks(G: Graph) -> list[int]:
-    out = []
-    for v in range(G.n):
-        m = 1 << v
-        for u in G.adj[v]:
-            m |= 1 << u
-        out.append(m)
-    return out
-
-
-def _open_masks(G: Graph) -> list[int]:
-    out = []
-    for v in range(G.n):
-        m = 0
-        for u in G.adj[v]:
-            m |= 1 << u
-        out.append(m)
-    return out
-
-
 def _feasibility(G: Graph, kind: str) -> tuple[bool, str | None, tuple[int, int] | None]:
     if kind == "ID":
         twins = find_twins(G, closed=True)
@@ -81,36 +59,6 @@ def _feasibility(G: Graph, kind: str) -> tuple[bool, str | None, tuple[int, int]
         if twins:
             return False, "open twins cannot be told apart", twins[0]
     return True, None, None
-
-
-def _satisfies(kind: str, smask: int, closed: list[int], open_: list[int], n: int) -> bool:
-    if kind == "LD":
-        labels = []
-        for x in range(n):
-            if smask >> x & 1:
-                continue
-            t = open_[x] & smask
-            if t == 0:
-                return False
-            labels.append(t)
-        return len(set(labels)) == len(labels)
-    masks = closed if kind == "ID" else open_
-    seen: set[int] = set()
-    for x in range(n):
-        t = masks[x] & smask
-        if t == 0 or t in seen:
-            return False
-        seen.add(t)
-    return True
-
-
-def _size_floor(kind: str, n: int) -> int:
-    # s chosen vertices can produce at most 2^s - 1 distinct nonempty labels.
-    for s in range(n + 1):
-        need = n - s if kind == "LD" else n
-        if (1 << s) - 1 >= need:
-            return s
-    return n
 
 
 def gamma_exact(G: Graph, kind: str, subset_budget: int = GAMMA_SUBSET_BUDGET) -> DominationReport:
@@ -127,30 +75,9 @@ def gamma_exact(G: Graph, kind: str, subset_budget: int = GAMMA_SUBSET_BUDGET) -
     feasible, reason, pair = _feasibility(G, kind)
     if not feasible:
         return DominationReport(kind, False, None, None, (), reason, pair)
-    closed = _closed_masks(G)
-    open_ = _open_masks(G)
-    examined = 0
-    for size in range(_size_floor(kind, G.n), G.n + 1):
-        for combo in combinations(range(G.n), size):
-            examined += 1
-            if examined > subset_budget:
-                raise BudgetExceededError("domination search budget exceeded", budget=subset_budget)
-            smask = 0
-            for v in combo:
-                smask |= 1 << v
-            if _satisfies(kind, smask, closed, open_, G.n):
-                return DominationReport(kind, True, size, combo)
-    return DominationReport(
-        kind, False, None, None, (), "no subset satisfies the predicate", None
-    )
-
-
-def _exact_or_relaxed_trace(H: Hypergraph, j: int) -> tuple[int, str]:
-    m_distinct = len(set(H.edges))
-    if comb(H.n, j) * max(m_distinct, 1) <= CHAIN_EXACT_WORK_LIMIT:
-        t, _ = trace_function_exact(H, j, subset_budget=CHAIN_EXACT_WORK_LIMIT)
-        return t, "exact-T"
-    return (1 << j) - 1, "power-of-two"
+    rows = neighborhood_hypergraph(G, closed=kind == "ID").edge_masks
+    combo = separating_set(rows, G.n, subset_budget, "domination", selected_exempt=kind == "LD")
+    return DominationReport(kind, True, len(combo), combo)
 
 
 def _ld_pair_bounds(
@@ -213,8 +140,8 @@ def domination_lower_bounds(
     out: dict[str, KindBounds] = {}
 
     def ld_entries_at(j: int) -> list[BoundEntry]:
-        tc, fc = _exact_or_relaxed_trace(H, j)
-        to, fo = _exact_or_relaxed_trace(Ho, j)
+        tc, fc = trace_value(H, j)
+        to, fo = trace_value(Ho, j)
         return _ld_pair_bounds(
             n,
             j,
@@ -240,7 +167,7 @@ def domination_lower_bounds(
         while j <= j_max and j <= certified:
             batch = ld_entries_at(j)
             if kind == "ID":
-                t_j, form = _exact_or_relaxed_trace(H, j)
+                t_j, form = trace_value(H, j)
                 flags = () if dc.reduced_exact else ("safe-weakened",)
                 batch.append(
                     BoundEntry(
@@ -248,8 +175,8 @@ def domination_lower_bounds(
                     )
                 )
             elif kind == "OLD":
-                t_open, form_o = _exact_or_relaxed_trace(Ho, j)
-                t_closed, form_c = _exact_or_relaxed_trace(H, j)
+                t_open, form_o = trace_value(Ho, j)
+                t_closed, form_c = trace_value(H, j)
                 flags = () if do.reduced_exact else ("safe-weakened",)
                 certified_value = Fraction(n - t_open, do.reduced_upper) + j
                 literal_value = Fraction(n - t_closed, do.reduced_upper) + j

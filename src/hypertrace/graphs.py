@@ -59,19 +59,30 @@ class Graph:
     def is_tree(self) -> bool:
         return self.n >= 1 and self.edge_count == self.n - 1 and self.is_connected()
 
+    @cached_property
+    def neighborhood_cache(self) -> dict[bool, Hypergraph]:
+        """Neighborhood hypergraphs built so far, keyed by ``closed``."""
+        return {}
+
 
 def neighborhood_hypergraph(G: Graph, closed: bool = True) -> Hypergraph:
     """Hypergraph whose n edges are the closed (or open) neighborhoods.
 
     Twin vertices produce duplicate edges, so the result is built with
     the multi-edge flag; use ``find_twins`` to detect and report them.
+    Each graph builds each side once and returns that same object later,
+    so everything derived from it, such as its trace-function memo, is
+    shared by every caller.
     """
+    cached = G.neighborhood_cache.get(closed)
+    if cached is not None:
+        return cached
     vertices = frozenset(range(G.n))
     if closed:
         edges = tuple(G.adj[v] | {v} for v in range(G.n))
     else:
         edges = tuple(G.adj[v] for v in range(G.n))
-    return Hypergraph(vertices, edges, allow_multi=True)
+    return G.neighborhood_cache.setdefault(closed, Hypergraph(vertices, edges, allow_multi=True))
 
 
 def find_twins(G: Graph, closed: bool = True) -> list[tuple[int, int]]:

@@ -3,7 +3,9 @@
 A hypergraph is a finite vertex set together with an ordered family of
 edges, each edge a subset of the vertices.  Values are immutable; every
 operation returns a new value, so instances are safe to share between
-threads.
+threads.  Derived data (masks, the trace-function memo) is cached on the
+value; it is a deterministic function of the value, so a race between
+threads can only compute an entry twice, never change it.
 """
 
 from __future__ import annotations
@@ -83,6 +85,12 @@ class Hypergraph:
                 m |= 1 << pos[v]
             masks.append(m)
         return tuple(masks)
+
+    @cached_property
+    def trace_memo(self) -> dict[tuple[int, bool], tuple[int, tuple[int, ...]]]:
+        """Exact trace-function results keyed by (k, include_empty), filled by
+        ``trace_function_exact`` and shared by every bound on this value."""
+        return {}
 
     def normalize_subset(self, subset: Iterable[int]) -> frozenset[int]:
         s = frozenset(subset)

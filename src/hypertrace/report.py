@@ -262,7 +262,7 @@ def _analyze_hypergraph(H: Hypergraph, r: _Runner, budgets: Budgets, analyses) -
         elif any(not e for e in H.edges):
             res["dt"] = {"undefined": "empty edge"}
         else:
-            bounds = dt_lower_bounds(H, triple, j_max=budgets.j_max)
+            bounds = r.stage("dt-bounds", lambda: dt_lower_bounds(H, triple, j_max=budgets.j_max))
             dt = r.stage(
                 "dt", lambda: dt_exact(H, subset_budget=budgets.subset_budget)
             )
@@ -349,7 +349,10 @@ def _analyze_graph(G: Graph, r: _Runner, budgets: Budgets, analyses) -> None:
             if any(not e for e in hyper.edges):
                 block[label] = {"undefined": "empty edge (isolated vertex)"}
                 continue
-            bounds = dt_lower_bounds(hyper, triple, j_max=budgets.j_max)
+            bounds = r.stage(
+                f"dt-{label}-bounds",
+                lambda h=hyper, t=triple: dt_lower_bounds(h, t, j_max=budgets.j_max),
+            )
             dt = r.stage(
                 f"dt-{label}", lambda h=hyper: dt_exact(h, subset_budget=budgets.subset_budget)
             )

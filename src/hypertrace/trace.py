@@ -32,7 +32,9 @@ def trace_function_exact(
 
     Counts nonempty traces unless ``include_empty`` is set.  Ties among
     maximizing subsets break to the lexicographically first witness.
-    Refuses instances whose C(n, k) exceeds ``subset_budget``.
+    Refuses instances whose C(n, k) exceeds ``subset_budget``, whether or
+    not the value is already in ``H.trace_memo``; otherwise each value is
+    enumerated once per hypergraph and then served from the memo.
     """
     if not 0 <= k <= H.n:
         raise ValueError(f"k must be in [0, {H.n}]")
@@ -41,6 +43,9 @@ def trace_function_exact(
         raise BudgetExceededError(
             f"C({H.n},{k}) = {total} subsets exceed the budget", needed=total, budget=subset_budget
         )
+    key = (k, include_empty)
+    if key in H.trace_memo:
+        return H.trace_memo[key]
     verts = H.vertex_list
     pos = H.vertex_pos
     masks = H.edge_masks
@@ -59,7 +64,21 @@ def trace_function_exact(
             best_set = combo
     if best < 0:
         best, best_set = 0, ()
+    H.trace_memo[key] = (best, best_set)
     return best, best_set
+
+
+def trace_value(H: Hypergraph, j: int) -> tuple[int, str]:
+    """``T_j`` for the bounds: exact while cheap, else the 2^j - 1 relaxation.
+
+    Returns (value, form) with form "exact-T" or "power-of-two".  The exact
+    value is used while C(n, j) times the distinct edge count stays within
+    ``CHAIN_EXACT_WORK_LIMIT``.
+    """
+    if comb(H.n, j) * max(len(H.distinct_edges), 1) <= CHAIN_EXACT_WORK_LIMIT:
+        t, _ = trace_function_exact(H, j, subset_budget=CHAIN_EXACT_WORK_LIMIT)
+        return t, "exact-T"
+    return (1 << j) - 1, "power-of-two"
 
 
 def sauer_shelah_bound(d: int, k: int) -> int:
@@ -122,15 +141,9 @@ def degeneracy_chain_bounds(
         raise ValueError("k must be non-negative")
     upper = degeneracy.reduced_upper
     j_top = k if j_max is None else min(j_max, k)
-    m_distinct = len(set(H.edges))
     entries = []
     for j in range(j_top + 1):
-        if comb(H.n, j) * max(m_distinct, 1) <= CHAIN_EXACT_WORK_LIMIT:
-            t_j, _ = trace_function_exact(H, j, subset_budget=CHAIN_EXACT_WORK_LIMIT)
-            form = "exact-T"
-        else:
-            t_j = (1 << j) - 1
-            form = "power-of-two"
+        t_j, form = trace_value(H, j)
         entries.append((j, upper * (k - j) + t_j, form))
     return ChainBounds(
         k=k,

@@ -9,15 +9,16 @@ exceeding that minimum, where T_j is the trace function at size j (or its
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, comb
+from math import ceil
 
 from .degeneracy import DegeneracyTriple
 from .errors import BudgetExceededError, MultiEdgeError
 from .hypergraph import Hypergraph
-from .trace import CHAIN_EXACT_WORK_LIMIT, SUBSET_BUDGET_DEFAULT, trace_function_exact
+from .trace import SUBSET_BUDGET_DEFAULT, trace_value
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,49 @@ def _require_simple(H: Hypergraph) -> None:
         raise MultiEdgeError("duplicate edges can never be distinguished; quantity undefined")
 
 
+def _separates(rows: Sequence[int], smask: int, selected_exempt: bool) -> bool:
+    seen: set[int] = set()
+    for x, row in enumerate(rows):
+        if selected_exempt and smask >> x & 1:
+            continue
+        t = row & smask
+        if t == 0 or t in seen:
+            return False
+        seen.add(t)
+    return True
+
+
+def separating_set(
+    rows: Sequence[int], n: int, budget: int, search: str, selected_exempt: bool = False
+) -> tuple[int, ...]:
+    """Lexicographically first minimum set S of positions in [0, n) that
+    gives every row a nonempty label ``row & S``, all labels distinct.
+
+    The one search behind distinguishing transversals (rows are edge
+    masks) and LD, ID and OLD (rows are neighborhood masks indexed by
+    vertex).  With ``selected_exempt`` the row of a selected position
+    needs no label, which is how LD differs.  Sizes ascend from the floor
+    where s positions can give 2^s - 1 labels.  Callers must ensure the
+    full position set qualifies; more than ``budget`` candidates raise
+    "<search> search budget exceeded".
+    """
+    start = next(
+        s for s in range(n + 1) if (1 << s) - 1 >= len(rows) - (s if selected_exempt else 0)
+    )
+    examined = 0
+    for size in range(start, n + 1):
+        for combo in combinations(range(n), size):
+            examined += 1
+            if examined > budget:
+                raise BudgetExceededError(f"{search} search budget exceeded", budget=budget)
+            smask = 0
+            for p in combo:
+                smask |= 1 << p
+            if _separates(rows, smask, selected_exempt):
+                return combo
+    raise AssertionError("the full position set must separate every row")
+
+
 def is_distinguishing_transversal(H: Hypergraph, subset) -> bool:
     """True iff all edge traces on ``subset`` are nonempty and pairwise distinct."""
     _require_simple(H)
@@ -62,13 +106,7 @@ def is_distinguishing_transversal(H: Hypergraph, subset) -> bool:
     smask = 0
     for v in s:
         smask |= 1 << pos[v]
-    seen: set[int] = set()
-    for em in H.edge_masks:
-        t = em & smask
-        if t == 0 or t in seen:
-            return False
-        seen.add(t)
-    return True
+    return _separates(H.edge_masks, smask, selected_exempt=False)
 
 
 def dt_exact(
@@ -80,10 +118,9 @@ def dt_exact(
     """Minimum-size distinguishing transversal by size-ascending search.
 
     The whole vertex set always works for a simple hypergraph without empty
-    edges, so the search terminates.  Sizes start at the information floor
-    ceil(log2(|E| + 1)): s vertices can host at most 2^s - 1 distinct
-    nonempty traces.  When a degeneracy triple is supplied the certified
-    lower bounds are attached to the result.
+    edges, so ``separating_set`` over the edge masks terminates.  When a
+    degeneracy triple is supplied the certified lower bounds are attached
+    to the result.
     """
     _require_simple(H)
     if any(not e for e in H.edges):
@@ -93,17 +130,8 @@ def dt_exact(
         bounds = tuple(dt_lower_bounds(H, degeneracy, j_max=j_max))
     if H.m == 0:
         return DtResult(0, (), bounds)
-    verts = H.vertex_list
-    start = next(s for s in range(H.n + 1) if (1 << s) - 1 >= H.m)
-    examined = 0
-    for size in range(start, H.n + 1):
-        for combo in combinations(verts, size):
-            examined += 1
-            if examined > subset_budget:
-                raise BudgetExceededError("transversal search budget exceeded", budget=subset_budget)
-            if is_distinguishing_transversal(H, combo):
-                return DtResult(size, combo, bounds)
-    raise AssertionError("the full vertex set must be a distinguishing transversal")
+    combo = separating_set(H.edge_masks, H.n, subset_budget, "transversal")
+    return DtResult(len(combo), tuple(H.vertex_list[p] for p in combo), bounds)
 
 
 def dt_lower_bounds(
@@ -131,13 +159,12 @@ def dt_lower_bounds(
     certified = 0
     j = 0
     while j <= j_max and j <= certified:
-        forms: list[tuple[Fraction, str]] = [
-            (Fraction(m - ((1 << j) - 1), delta) + j, "power-of-two"),
-        ]
-        if comb(H.n, j) * m <= CHAIN_EXACT_WORK_LIMIT:
-            t_j, _ = trace_function_exact(H, j, subset_budget=CHAIN_EXACT_WORK_LIMIT)
-            forms.insert(0, (Fraction(m - t_j, delta) + j, "exact-T"))
-        for value, form in forms:
+        t_j, form = trace_value(H, j)
+        forms = [(t_j, form)]
+        if form != "power-of-two":
+            forms.append(((1 << j) - 1, "power-of-two"))
+        for t, form in forms:
+            value = Fraction(m - t, delta) + j
             entries.append(BoundEntry("dt", j, value, form, delta, flags))
             certified = max(certified, ceil(value))
         j += 1

@@ -68,6 +68,15 @@ def test_missing_file_exits_1(capsys):
     assert code == 1
 
 
+def test_malformed_file_exits_1_with_format_error(capsys, tmp_path):
+    f = tmp_path / "bad.graph"
+    f.write_text("p graph 3 2\n0 1\n")
+    code, out, err = run_cli(capsys, "analyze", str(f))
+    assert code == 1
+    assert out == ""
+    assert "hypertrace: format error:" in err
+
+
 def test_gen_roundtrip(capsys, tmp_path):
     out = tmp_path / "t.graph"
     code, _, _ = run_cli(capsys, "gen", "tree", "--n", "8", "--seed", "5", "--out", str(out))

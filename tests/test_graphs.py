@@ -34,6 +34,12 @@ def test_closed_neighborhoods_p4(p4):
     assert H.allow_multi
 
 
+def test_neighborhood_hypergraph_is_one_object_per_side(p4):
+    for closed in (True, False):
+        assert neighborhood_hypergraph(p4, closed) is neighborhood_hypergraph(p4, closed)
+    assert neighborhood_hypergraph(p4, True) is not neighborhood_hypergraph(p4, False)
+
+
 def test_open_neighborhoods_k2():
     G = Graph.from_edges(2, [(0, 1)])
     H = neighborhood_hypergraph(G, closed=False)

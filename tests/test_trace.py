@@ -48,6 +48,21 @@ def test_exact_budget():
         trace_function_exact(H, 20, subset_budget=1000)
 
 
+def test_exact_is_memoised_per_hypergraph():
+    H = build_hypergraph(9, [{0, 1}, {1, 2, 3}, {4, 5}, {5, 6, 7, 8}, {0, 8}])
+    first = trace_function_exact(H, 4)
+    assert H.trace_memo[(4, False)] == first
+    assert trace_function_exact(H, 4) == first
+    assert trace_function_exact(H, 4, include_empty=True) == brute_trace_function(H, 4, True)
+
+
+def test_memo_does_not_bypass_the_budget():
+    H = build_hypergraph(12, [{0, 1}, {2, 3, 4}, {5, 11}])
+    trace_function_exact(H, 6, subset_budget=10**6)
+    with pytest.raises(BudgetExceededError):
+        trace_function_exact(H, 6, subset_budget=923)  # C(12, 6) = 924
+
+
 def test_exact_witness_is_lexicographically_first():
     # Every pair of singleton edges attains the maximum; the first wins.
     H = build_hypergraph(3, [{0}, {1}, {2}])
