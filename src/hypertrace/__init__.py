@@ -67,6 +67,6 @@ from .transversal import (
     dt_lower_bounds,
     is_distinguishing_transversal,
 )
-from .vc import VcResult, is_shattered, vc_exact, vc_neighborhood_exact, vc_upper_bound
+from .vc import VcResult, is_shattered, vc_exact, vc_upper_bound
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -70,10 +70,6 @@ class DegeneracyTriple:
         return self.reduced_high
 
 
-def _distinct_nonempty(H: Hypergraph) -> list[frozenset[int]]:
-    return [e for e in H.distinct_edges if e]
-
-
 def peel_degeneracy(H: Hypergraph) -> PeelResult:
     """Classic degeneracy by peeling with trace deduplication.
 
@@ -100,12 +96,11 @@ def peel_degeneracy(H: Hypergraph) -> PeelResult:
     # hashing; a hash hit is confirmed by full set equality before merging.
     # A bucket value is a bare class id, escalated to a list on collision.
     # A dead class is marked by trace[cid] is None.
-    distinct = _distinct_nonempty(H)
     getkey = key.__getitem__
     if dense:
-        trace: list[set[int] | None] = [set(e) for e in distinct]
+        trace: list[set[int] | None] = [set(e) for e in H.distinct_edges if e]
     else:
-        trace = [{pos[v] for v in e} for e in distinct]
+        trace = [{pos[v] for v in e} for e in H.distinct_edges if e]
     thash = [reduce(xor, map(getkey, t), 0) for t in trace]
     buckets: dict[int, int | list[int]] = {}
     member: list[list[int]] = [[] for _ in range(n)]
@@ -191,10 +186,10 @@ def peel_pseudo_degeneracy(H: Hypergraph) -> PeelResult:
         return PeelResult((), (), 0)
 
     if verts[-1] == n - 1:
-        edges = [list(e) for e in _distinct_nonempty(H)]
+        edges = [list(e) for e in H.distinct_edges]
     else:
         pos = H.vertex_pos
-        edges = [[pos[v] for v in e] for e in _distinct_nonempty(H)]
+        edges = [[pos[v] for v in e] for e in H.distinct_edges]
     inc: list[list[int]] = [[] for _ in range(n)]
     for i, e in enumerate(edges):
         for p in e:
@@ -270,7 +265,7 @@ def degeneracy_oracle(H: Hypergraph) -> int:
     n = H.n
     if n > ORACLE_VERTEX_CAP:
         raise BudgetExceededError(f"oracle capped at {ORACLE_VERTEX_CAP} vertices", needed=n)
-    masks = _dedup_mask_list(H)
+    masks = H.distinct_masks
     best = 0
     for smask in range(1, 1 << n):
         traces = {em & smask for em in masks}
@@ -293,7 +288,7 @@ def pseudo_degeneracy_oracle(H: Hypergraph) -> int:
     n = H.n
     if n > ORACLE_VERTEX_CAP:
         raise BudgetExceededError(f"oracle capped at {ORACLE_VERTEX_CAP} vertices", needed=n)
-    masks = _dedup_mask_list(H)
+    masks = [em for em in H.distinct_masks if em]
     best = 0
     for smask in range(1, 1 << n):
         kept = [em for em in masks if em & smask == em]
@@ -308,16 +303,6 @@ def pseudo_degeneracy_oracle(H: Hypergraph) -> int:
         if mind > best:
             best = mind
     return best
-
-
-def _dedup_mask_list(H: Hypergraph) -> list[int]:
-    seen: set[int] = set()
-    out = []
-    for em in H.edge_masks:
-        if em and em not in seen:
-            seen.add(em)
-            out.append(em)
-    return out
 
 
 def reduced_degeneracy(H: Hypergraph, exact_limit: int = EXACT_LIMIT_DEFAULT) -> DegeneracyTriple:
@@ -340,7 +325,7 @@ def reduced_degeneracy(H: Hypergraph, exact_limit: int = EXACT_LIMIT_DEFAULT) ->
     n = H.n
     if n > exact_limit:
         return DegeneracyTriple(pseudo, classic, pseudo, classic, False)
-    masks = tuple(_dedup_mask_list(H))
+    masks = H.distinct_masks
     best = 0
     full = (1 << n) - 1
     if n > _PLAIN_ENUM_LIMIT:

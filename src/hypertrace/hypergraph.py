@@ -43,9 +43,9 @@ class Hypergraph:
     def m(self) -> int:
         return len(self.edges)
 
-    @cached_property
+    @property
     def has_duplicate_edges(self) -> bool:
-        return len(set(self.edges)) < len(self.edges)
+        return len(self.distinct_edges) < len(self.edges)
 
     @property
     def is_simple(self) -> bool:
@@ -53,14 +53,12 @@ class Hypergraph:
 
     @cached_property
     def distinct_edges(self) -> tuple[frozenset[int], ...]:
-        """Edges with duplicates collapsed, first occurrence order, empties kept."""
-        seen: set[frozenset[int]] = set()
-        out = []
-        for e in self.edges:
-            if e not in seen:
-                seen.add(e)
-                out.append(e)
-        return tuple(out)
+        """Edges with duplicates collapsed, first occurrence order, empties kept.
+
+        Every computation that cannot see multiplicities (peels, oracles,
+        traces, shattering) reads the edges from here.
+        """
+        return tuple(dict.fromkeys(self.edges))
 
     @cached_property
     def vertex_list(self) -> tuple[int, ...]:
@@ -85,6 +83,11 @@ class Hypergraph:
                 m |= 1 << pos[v]
             masks.append(m)
         return tuple(masks)
+
+    @cached_property
+    def distinct_masks(self) -> tuple[int, ...]:
+        """``distinct_edges`` as bit vectors, in the same order."""
+        return tuple(dict.fromkeys(self.edge_masks))
 
     @cached_property
     def trace_memo(self) -> dict[tuple[int, bool], tuple[int, tuple[int, ...]]]:
@@ -139,12 +142,7 @@ def build_hypergraph(n: int, edges: Iterable[Iterable[int]], allow_multi: bool =
                 raise ValueError(f"vertex {v} out of range [0, {n})")
         sets.append(fe)
     if not allow_multi:
-        seen: set[frozenset[int]] = set()
-        deduped = []
-        for e in sets:
-            if e not in seen:
-                seen.add(e)
-                deduped.append(e)
+        deduped = list(dict.fromkeys(sets))
         collapsed = len(sets) - len(deduped)
         if collapsed:
             warnings.warn(f"collapsed {collapsed} duplicate edge(s)", stacklevel=2)
@@ -158,15 +156,8 @@ def restriction(H: Hypergraph, subset: Iterable[int]) -> Hypergraph:
     The trace of an edge e on S is e & S.  Empty traces are dropped and
     duplicates collapse regardless of the multi-edge flag.
     """
-    s = H.normalize_subset(subset)
-    seen: set[frozenset[int]] = set()
-    traces = []
-    for e in H.edges:
-        t = e & s
-        if t and t not in seen:
-            seen.add(t)
-            traces.append(t)
-    return Hypergraph(s, tuple(traces), allow_multi=False)
+    fam = trace_family(H, subset)
+    return Hypergraph(fam.base, fam.traces)
 
 
 def pseudo_induced(H: Hypergraph, subset: Iterable[int]) -> Hypergraph:
@@ -182,15 +173,9 @@ def trace_family(H: Hypergraph, subset: Iterable[int], include_empty: bool = Fal
     The count excludes the empty trace unless ``include_empty`` is set.
     """
     s = H.normalize_subset(subset)
-    seen: set[frozenset[int]] = set()
-    traces = []
-    for e in H.edges:
-        t = e & s
-        if not t and not include_empty:
-            continue
-        if t not in seen:
-            seen.add(t)
-            traces.append(t)
+    traces = dict.fromkeys(e & s for e in H.distinct_edges)
+    if not include_empty:
+        traces.pop(frozenset(), None)
     return TraceFamily(s, tuple(traces), len(traces), include_empty)
 
 

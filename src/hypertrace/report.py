@@ -14,6 +14,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from . import __version__
 from .degeneracy import DegeneracyTriple, EXACT_LIMIT_DEFAULT, reduced_degeneracy
@@ -30,7 +31,7 @@ from .hypergraph import Hypergraph
 from .io import serialize_graph, serialize_hypergraph
 from .trace import trace_bound_profile
 from .transversal import BoundEntry, dt_exact, dt_lower_bounds
-from .vc import vc_exact, vc_neighborhood_exact
+from .vc import VcResult, is_shattered, vc_exact
 
 ALL_ANALYSES = ("degeneracy", "trace", "vc", "dt", "domination", "tree")
 
@@ -190,6 +191,19 @@ def _bounds_below_exact(r: _Runner, name: str, entries, exact: int | None):
     r.check(name, not bad, f"exact={exact}")
 
 
+def _vc_section(H: Hypergraph, r: _Runner, budgets: Budgets) -> VcResult | None:
+    vc = r.stage("vc", lambda: vc_exact(H, node_budget=budgets.subset_budget))
+    if vc is not None:
+        r.report.results["vc"] = {
+            "dimension": exact_value(vc.dimension),
+            "witness": list(vc.witness),
+            "upper_bound_used": {"value": vc.upper_bound_used, "exactness": "bound"},
+            "nodes_enumerated": vc.nodes_enumerated,
+        }
+        r.check("vc-within-degeneracy-cap", vc.dimension <= vc.upper_bound_used)
+    return vc
+
+
 def _analyze_hypergraph(H: Hypergraph, r: _Runner, budgets: Budgets, analyses) -> None:
     res = r.report.results
     triple = r.stage("degeneracy", lambda: reduced_degeneracy(H, budgets.exact_limit))
@@ -243,16 +257,9 @@ def _analyze_hypergraph(H: Hypergraph, r: _Runner, budgets: Budgets, analyses) -
         res["trace"] = profiles
 
     if "vc" in analyses:
-        vc = r.stage("vc", lambda: vc_exact(H, node_budget=budgets.subset_budget))
+        vc = _vc_section(H, r, budgets)
         if vc is not None:
-            res["vc"] = {
-                "dimension": exact_value(vc.dimension),
-                "witness": list(vc.witness),
-                "upper_bound_used": {"value": vc.upper_bound_used, "exactness": "bound"},
-                "nodes_enumerated": vc.nodes_enumerated,
-            }
-            r.check("vc-within-degeneracy-cap", vc.dimension <= vc.upper_bound_used)
-            distinct = len({e for e in H.edges if e})
+            distinct = sum(1 for e in H.distinct_edges if e)
             passed = vc.dimension == 0 if distinct == 0 else (1 << vc.dimension) <= distinct
             r.check("vc-within-log-edges", passed)
 
@@ -323,21 +330,14 @@ def _analyze_graph(G: Graph, r: _Runner, budgets: Budgets, analyses) -> None:
                 )
         res["trace_closed"] = profiles
 
-    vc_dim = None
     if "vc" in analyses:
-        vc = r.stage("vc", lambda: vc_neighborhood_exact(G, node_budget=budgets.subset_budget))
-        if vc is not None:
-            vc_dim = vc.dimension
-            res["vc"] = {
-                "dimension": exact_value(vc.dimension),
-                "witness": list(vc.witness),
-                "upper_bound_used": {"value": vc.upper_bound_used, "exactness": "bound"},
-                "nodes_enumerated": vc.nodes_enumerated,
-            }
-            r.check("vc-within-degeneracy-cap", vc.dimension <= vc.upper_bound_used)
-            if G.n <= 12:
-                general = vc_exact(H, node_budget=budgets.subset_budget)
-                r.check("vc-neighborhood-matches-general", general.dimension == vc.dimension)
+        vc = _vc_section(H, r, budgets)
+        if vc is not None and G.n <= 12:
+            # Against the definition, unpruned: no (d+1)-set of any vertices shatters.
+            passed = (not vc.witness or is_shattered(H, vc.witness)) and not any(
+                is_shattered(H, c) for c in combinations(H.vertex_list, vc.dimension + 1)
+            )
+            r.check("vc-neighborhood-matches-general", passed)
 
     dt_closed_value = None
     if "dt" in analyses:

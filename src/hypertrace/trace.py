@@ -48,7 +48,7 @@ def trace_function_exact(
         return H.trace_memo[key]
     verts = H.vertex_list
     pos = H.vertex_pos
-    masks = H.edge_masks
+    masks = H.distinct_masks
     best = -1
     best_set: tuple[int, ...] = ()
     for combo in combinations(verts, k):
@@ -104,7 +104,7 @@ def max_degree_bound(H: Hypergraph, k: int) -> int:
         raise ValueError("k must be non-negative")
     delta = 0
     counts: dict[int, int] = {}
-    for e in set(H.edges):
+    for e in H.distinct_edges:
         for v in e:
             counts[v] = counts.get(v, 0) + 1
     if counts:

@@ -4,17 +4,19 @@ A subset S is shattered when every one of its 2^|S| subsets, the empty set
 included, occurs as the trace of some edge on S.  The search for the
 largest shattered set only needs to look at sizes up to
 floor(log2(classic degeneracy)) + 1, which keeps exact computation
-polynomial whenever the degeneracy is bounded.
+polynomial whenever the degeneracy is bounded.  A nonempty shattered set
+is its own trace, so it lies inside one edge: only subsets of edges are
+candidates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import merge
 from itertools import combinations
 
 from .degeneracy import peel_degeneracy
 from .errors import BudgetExceededError
-from .graphs import Graph, neighborhood_hypergraph
 from .hypergraph import Hypergraph
 
 SHATTER_SIZE_CAP = 30
@@ -44,9 +46,8 @@ def is_shattered(H: Hypergraph, subset) -> bool:
     smask = 0
     for v in s:
         smask |= 1 << pos[v]
-    traces = {em & smask for em in H.edge_masks}
     # All traces are submasks of S, so S is shattered iff all 2^|S| appear.
-    return len(traces) == 1 << len(s)
+    return len({em & smask for em in H.distinct_masks}) == 1 << len(s)
 
 
 def vc_upper_bound(H: Hypergraph, classic: int | None = None) -> int:
@@ -59,8 +60,13 @@ def vc_upper_bound(H: Hypergraph, classic: int | None = None) -> int:
     return classic.bit_length()
 
 
-def _mask_traces(H: Hypergraph, smask: int) -> set[int]:
-    return {em & smask for em in H.edge_masks}
+def _edge_subsets(H: Hypergraph, size: int):
+    """Distinct ``size``-subsets of edges, lazily, in lexicographic order."""
+    last = None
+    for combo in merge(*(combinations(sorted(e), size) for e in H.distinct_edges)):
+        if combo != last:
+            last = combo
+            yield combo
 
 
 def vc_exact(H: Hypergraph, node_budget: int = NODE_BUDGET_DEFAULT) -> VcResult:
@@ -68,68 +74,22 @@ def vc_exact(H: Hypergraph, node_budget: int = NODE_BUDGET_DEFAULT) -> VcResult:
 
     Subset sizes are tried in ascending order; once no set of a size
     shatters, no larger set can (subsets of shattered sets are shattered),
-    so the search exits early.  Candidates within one size run in
-    lexicographic order, making the reported witness deterministic.
+    so the search exits early.  Within one size the candidates are the
+    distinct subsets of edges in lexicographic order, which holds every
+    shattered set of that size, so the reported witness is the
+    lexicographically first.  ``node_budget`` bounds the candidates tested.
     """
     cap = vc_upper_bound(H)
-    verts = H.vertex_list
-    masks = H.edge_masks
-    pos = H.vertex_pos
-    has_edges = len(masks) > 0
     dimension = 0
     witness: tuple[int, ...] = ()
     nodes = 0
-    for size in range(1, min(cap, H.n) + 1):
+    for size in range(1, cap + 1):
         found = None
-        target = 1 << size
-        for combo in combinations(verts, size):
+        for combo in _edge_subsets(H, size):
             nodes += 1
             if nodes > node_budget:
                 raise BudgetExceededError("shattering-test budget exceeded", budget=node_budget)
-            smask = 0
-            for v in combo:
-                smask |= 1 << pos[v]
-            if len(_mask_traces(H, smask)) == target:
-                found = combo
-                break
-        if found is None:
-            break
-        dimension, witness = size, found
-    if not has_edges:
-        dimension, witness = 0, ()
-    return VcResult(dimension, witness, cap, nodes)
-
-
-def vc_neighborhood_exact(G: Graph, node_budget: int = NODE_BUDGET_DEFAULT) -> VcResult:
-    """Exact VC dimension of a graph's closed-neighborhood hypergraph.
-
-    Any shattered set of size >= 1 is itself a trace, hence contained in
-    one closed neighborhood, so only subsets of single neighborhoods need
-    testing.  Matches ``vc_exact`` on the same hypergraph.
-    """
-    H = neighborhood_hypergraph(G, closed=True)
-    cap = vc_upper_bound(H)
-    masks = H.edge_masks
-    pos = H.vertex_pos
-    dimension = 0
-    witness: tuple[int, ...] = ()
-    nodes = 0
-    neighborhoods = [tuple(sorted(e)) for e in H.edges]
-    for size in range(1, min(cap, H.n) + 1):
-        found = None
-        target = 1 << size
-        candidates: set[tuple[int, ...]] = set()
-        for nb in neighborhoods:
-            if len(nb) >= size:
-                candidates.update(combinations(nb, size))
-        for combo in sorted(candidates):
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceededError("shattering-test budget exceeded", budget=node_budget)
-            smask = 0
-            for v in combo:
-                smask |= 1 << pos[v]
-            if len(_mask_traces(H, smask)) == target:
+            if is_shattered(H, combo):
                 found = combo
                 break
         if found is None:

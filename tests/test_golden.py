@@ -29,8 +29,8 @@ DIGESTS = {
     "gnp15": "f8f443f0907173d285e6bbb700884ff0ea570ea8081937432d0ec50762604ed3",
     "tree10": "35cdf8686805524af43bf69f7a2c027650ddf2ce49b90d2f4a1c6bb5c489de29",
     "tree14": "d5b8fbfd5a17b65321c00092d06ed8fcae725130b4c40335cb4c905fd99645f4",
-    "h14": "03bc5c6f65a67d992c91c92f21243117dc5ef0574f38cee605eef7e578fa1b5f",
-    "h50": "39104b0cae11680fa32c3305627f7c735cd959b247e488608d8bcb80d5af3107",
+    "h14": "ad25377554fa6786ccae94514a7c77a07bf901c7d1d13069e9f53fbb3c29af05",
+    "h50": "13ee5139882c5b9180053b1e631025280ee0f840e0b76d695947be9994efec7e",
 }
 
 SKIPPED = {

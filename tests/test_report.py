@@ -89,9 +89,11 @@ def test_failed_check_flips_exit_code(p4):
 def test_bench_vc_suite_marks_skips():
     from hypertrace.bench import run_bench
 
-    rows = run_bench(suite="vc", sizes=(400, 2000), seed=1, vc_cap=500)
-    status = {r.total_edge_weight: r.status for r in rows if r.algorithm == "vc-exact"}
-    assert "skipped" in status.values()
+    # n = 41 and n = 205: the cap sits between them, so the larger row is skipped.
+    rows = run_bench(suite="vc", sizes=(400, 2000), seed=1, vc_cap=100)
+    by_n = {r.n: r for r in rows if r.algorithm == "vc-exact"}
+    assert (by_n[41].status, by_n[41].value) == ("ok", 3)
+    assert by_n[205].status == "skipped"
 
 
 def test_validate_rejects_missing_exactness():

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -10,7 +12,6 @@ from hypertrace import (
     random_gnp,
     random_tree,
     vc_exact,
-    vc_neighborhood_exact,
     vc_upper_bound,
 )
 from hypertrace.errors import BudgetExceededError
@@ -72,19 +73,38 @@ def test_vc_budget():
         vc_exact(H, node_budget=3)
 
 
+def closed_vc(G):
+    return vc_exact(neighborhood_hypergraph(G, closed=True))
+
+
 def test_vc_neighborhood_p4(p4):
-    assert vc_neighborhood_exact(p4).dimension == 1
+    assert closed_vc(p4).dimension == 1
 
 
 def test_vc_neighborhood_star(star):
-    result = vc_neighborhood_exact(star)
+    result = closed_vc(star)
     assert result.dimension == 2
     assert is_shattered(neighborhood_hypergraph(star, closed=True), result.witness)
 
 
+def test_vc_wide_star_is_lazy():
+    G = Graph.from_edges(1501, [(0, v) for v in range(1, 1501)])
+    H = neighborhood_hypergraph(G, closed=True)
+    tracemalloc.start()
+    try:
+        result = vc_exact(H)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # (0) and (1); then the 1,500 pairs (0, v) before (1, 2).
+    assert (result.dimension, result.witness, result.nodes_enumerated) == (2, (1, 2), 1503)
+    # Materialising the candidate pairs, as an eager search would, peaks near 110 MB.
+    assert peak < 4_000_000
+
+
 def test_vc_single_vertex_graph():
     G = Graph.from_edges(1, [])
-    assert vc_neighborhood_exact(G).dimension == 0
+    assert closed_vc(G).dimension == 0
 
 
 def test_vc_matches_unpruned_enumeration():
@@ -114,17 +134,31 @@ def test_neighborhood_matches_general():
     rng = random.Random(77)
     for i in range(40):
         G = random_gnp(rng.randint(1, 8), rng.random(), seed=rng.randrange(10**6))
-        nb = vc_neighborhood_exact(G)
-        general = vc_exact(neighborhood_hypergraph(G, closed=True))
-        assert nb.dimension == general.dimension
-        assert nb.witness == general.witness
+        H = neighborhood_hypergraph(G, closed=True)
+        assert vc_exact(H).dimension == brute_vc(H)
+
+
+def test_vc_witness_is_lexicographically_first():
+    rng = random.Random(19)
+    for _ in range(80):
+        n = rng.randint(1, 7)
+        edges = [frozenset(rng.sample(range(n), rng.randint(0, n))) for _ in range(rng.randint(0, 12))]
+        H = build_hypergraph(n, edges, allow_multi=True)
+        expected = (0, ())
+        for size in range(n, -1, -1):
+            first = next((c for c in combinations(range(n), size) if brute_is_shattered(H, c)), None)
+            if first is not None:
+                expected = (size, first)
+                break
+        result = vc_exact(H)
+        assert (result.dimension, result.witness) == expected
 
 
 def test_tree_neighborhood_vc_at_most_two():
     rng = random.Random(4)
     for _ in range(30):
         G = random_tree(rng.randint(2, 40), seed=rng.randrange(10**6))
-        assert vc_neighborhood_exact(G).dimension <= 2
+        assert closed_vc(G).dimension <= 2
 
 
 def test_vc_monotone_under_edge_deletion():
