@@ -32,7 +32,6 @@ from .hypergraph import Hypergraph
 
 ORACLE_VERTEX_CAP = 20
 EXACT_LIMIT_DEFAULT = 18
-_PLAIN_ENUM_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -309,14 +308,13 @@ def reduced_degeneracy(H: Hypergraph, exact_limit: int = EXACT_LIMIT_DEFAULT) ->
     """All three degeneracy variants, with the reduced value exact when feasible.
 
     The reduced degeneracy is the maximum pseudo-peel value over all
-    restrictions.  Up to ``_PLAIN_ENUM_LIMIT`` vertices every subset is
-    pseudo-peeled outright.  Between that and ``exact_limit`` the
-    enumeration starts from the classic peel's witness subset (the residual
-    vertex set at the step attaining the classic value) and stops as soon as
-    the running maximum reaches the classic degeneracy, which is a sound cap
-    because merging traces never lowers a degree below its pseudo
-    counterpart.  Above ``exact_limit`` the sandwich envelope
-    [pseudo, classic] is reported instead.
+    restrictions.  Up to ``exact_limit`` vertices the enumeration starts
+    from the classic peel's witness subset (the residual vertex set at the
+    step attaining the classic value) and stops as soon as the running
+    maximum reaches the classic degeneracy, which is a sound cap because
+    merging traces never lowers a degree below its pseudo counterpart.
+    Above ``exact_limit`` the sandwich envelope [pseudo, classic] is
+    reported instead.
     """
     classic_peel = peel_degeneracy(H)
     pseudo_peel = peel_pseudo_degeneracy(H)
@@ -325,25 +323,24 @@ def reduced_degeneracy(H: Hypergraph, exact_limit: int = EXACT_LIMIT_DEFAULT) ->
     n = H.n
     if n > exact_limit:
         return DegeneracyTriple(pseudo, classic, pseudo, classic, False)
+    if n == 0:
+        return DegeneracyTriple(0, 0, 0, 0, True)
     masks = H.distinct_masks
-    best = 0
-    full = (1 << n) - 1
-    if n > _PLAIN_ENUM_LIMIT:
-        # Witness-first evaluation: the residual set at the peak peel step.
-        peak = classic_peel.degree_sequence.index(classic)
-        witness = 0
-        pos = H.vertex_pos
-        for v in classic_peel.order[peak:]:
-            witness |= 1 << pos[v]
-        best = _pseudo_value_of_traces(_restriction_trace_masks(masks, witness), witness)
+    # Witness-first evaluation: the residual set at the peak peel step.
+    peak = classic_peel.degree_sequence.index(classic)
+    witness = 0
+    pos = H.vertex_pos
+    for v in classic_peel.order[peak:]:
+        witness |= 1 << pos[v]
+    best = _pseudo_value_of_traces(_restriction_trace_masks(masks, witness), witness)
     if best < classic:
-        for smask in range(1, full + 1):
+        for smask in range(1, 1 << n):
             traces = _restriction_trace_masks(masks, smask)
             if len(traces) <= best:
                 continue
             val = _pseudo_value_of_traces(traces, smask)
             if val > best:
                 best = val
-                if n > _PLAIN_ENUM_LIMIT and best >= classic:
+                if best >= classic:
                     break
     return DegeneracyTriple(pseudo, classic, best, best, True)

@@ -9,10 +9,12 @@ and the edge-count lower bound min(|E|, k+1).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
+from .bitset import bits
 from .degeneracy import DegeneracyTriple
 from .errors import BudgetExceededError, MultiEdgeError
 from .hypergraph import Hypergraph
@@ -20,6 +22,10 @@ from .hypergraph import Hypergraph
 SUBSET_BUDGET_DEFAULT = 2_000_000
 # Exact trace values feed the chain bounds only while enumeration stays cheap.
 CHAIN_EXACT_WORK_LIMIT = 10_000_000
+# Picks bounded by ``_partition_bound``, the last pick never.  Deeper down the
+# search walks plain combinations: there a bound costs a few leaf evaluations
+# and saves fewer.
+_BOUND_DEPTH = 4
 
 
 def trace_function_exact(
@@ -31,7 +37,14 @@ def trace_function_exact(
     """Maximum distinct-trace count over all k-subsets, with one witness.
 
     Counts nonempty traces unless ``include_empty`` is set.  Ties among
-    maximizing subsets break to the lexicographically first witness.
+    maximizing subsets break to the lexicographically first witness.  The
+    search is a lexicographic depth-first search over vertex positions.  It
+    stops at the first k-set whose count reaches the ceiling (the distinct
+    edge count, or ``2^k``; without the empty trace, the distinct nonempty
+    edge count or ``2^k - 1``), and it skips a prefix of the first
+    ``_BOUND_DEPTH`` picks whose ``_partition_bound`` does not beat the best
+    count so far.  Only a strictly larger count replaces the witness, so
+    neither cut can change it.
     Refuses instances whose C(n, k) exceeds ``subset_budget``, whether or
     not the value is already in ``H.trace_memo``; otherwise each value is
     enumerated once per hypergraph and then served from the memo.
@@ -46,26 +59,66 @@ def trace_function_exact(
     key = (k, include_empty)
     if key in H.trace_memo:
         return H.trace_memo[key]
-    verts = H.vertex_list
-    pos = H.vertex_pos
     masks = H.distinct_masks
+    n = H.n
+    full = (1 << n) - 1
+    singles = [1 << p for p in range(n)]
+    if include_empty:
+        ceiling = min(len(masks), 1 << k)
+    else:
+        ceiling = min(len(masks) - (0 in masks), (1 << k) - 1)
+    top = min(max(k - 1, 0), _BOUND_DEPTH)
     best = -1
-    best_set: tuple[int, ...] = ()
-    for combo in combinations(verts, k):
-        smask = 0
-        for v in combo:
-            smask |= 1 << pos[v]
-        traces = {em & smask for em in masks}
-        if not include_empty:
-            traces.discard(0)
-        count = len(traces)
-        if count > best:
-            best = count
-            best_set = combo
-    if best < 0:
-        best, best_set = 0, ()
-    H.trace_memo[key] = (best, best_set)
-    return best, best_set
+    best_mask = 0
+
+    def search(depth: int, start: int, smask: int) -> bool:
+        """Visit, in lexicographic order, the k-sets extending ``smask`` by
+        positions from ``start`` on; True once ``best`` reaches the ceiling."""
+        nonlocal best, best_mask
+        left = k - depth
+        if depth == top:
+            for combo in combinations(singles[start:], left):
+                s = smask + sum(combo)
+                traces = {em & s for em in masks}
+                count = len(traces) if include_empty else len(traces) - (0 in traces)
+                if count > best:
+                    best, best_mask = count, s
+                    if best >= ceiling:
+                        return True
+            return False
+        for p in range(start, n - left + 1):
+            child = smask | singles[p]
+            reach = child | (full >> (p + 1) << (p + 1))
+            if _partition_bound(masks, child, reach, left - 1, include_empty) <= best:
+                continue
+            if search(depth + 1, p + 1, child):
+                return True
+        return False
+
+    search(0, 0, 0)
+    verts = H.vertex_list
+    result = (best, tuple(verts[p] for p in bits(best_mask)))
+    H.trace_memo[key] = result
+    return result
+
+
+def _partition_bound(
+    masks: tuple[int, ...], smask: int, reach: int, left: int, include_empty: bool
+) -> int:
+    """Most traces a k-set can carry that adds ``left`` vertices to ``smask``,
+    all taken from ``reach``.
+
+    Edges that agree on ``reach`` end with one trace.  Edges that agree on
+    ``smask`` split into at most ``2^left`` traces, one per pattern on the
+    added vertices; edges apart on ``smask`` stay apart.  The group with the
+    empty trace on ``smask`` yields at most ``2^left - 1`` nonempty traces.
+    """
+    groups = Counter(em & smask for em in {em & reach for em in masks})
+    cap = 1 << left
+    bound = sum(min(c, cap) for c in groups.values())
+    if not include_empty and groups[0] >= cap:
+        bound -= 1
+    return bound
 
 
 def trace_value(H: Hypergraph, j: int) -> tuple[int, str]:

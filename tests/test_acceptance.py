@@ -8,6 +8,7 @@ per-criterion lines.
 
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -268,10 +269,12 @@ def test_criterion_8_cli_and_round_trip():
             if parse_hypergraph_text(serialize_hypergraph(H)) != H:
                 bad += 1
     fixture = resources.files("hypertrace") / "fixtures" / "p4.graph"
+    # The child imports the package this test imported, whatever put it on sys.path.
     proc = subprocess.run(
         [sys.executable, "-m", "hypertrace", "analyze", str(fixture)],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
     )
     doc = json.loads(proc.stdout) if proc.returncode == 0 else {}
     expected = {

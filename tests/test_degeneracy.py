@@ -6,12 +6,15 @@ from hypothesis import given, settings, strategies as st
 from hypertrace import (
     build_hypergraph,
     degeneracy_oracle,
+    neighborhood_hypergraph,
     peel_degeneracy,
     peel_pseudo_degeneracy,
     pseudo_degeneracy_oracle,
+    random_tree,
     reduced_degeneracy,
     restriction,
 )
+from hypertrace import degeneracy
 from hypertrace.errors import BudgetExceededError
 from oracles import min_degree
 
@@ -165,8 +168,27 @@ def test_peel_degree_sequence_is_min_degree_at_each_step():
             remaining.remove(v)
 
 
+def test_reduced_stops_at_the_classic_cap(monkeypatch):
+    # On a tree's neighbourhood hypergraphs the classic peel's witness already
+    # attains the classic value, so no other subset is pseudo-peeled.
+    calls = []
+    inner = degeneracy._pseudo_value_of_traces
+
+    def counted(trace_masks, smask):
+        calls.append(smask)
+        return inner(trace_masks, smask)
+
+    monkeypatch.setattr(degeneracy, "_pseudo_value_of_traces", counted)
+    G = random_tree(10, seed=5)
+    for closed in (True, False):
+        calls.clear()
+        triple = reduced_degeneracy(neighborhood_hypergraph(G, closed))
+        assert triple.reduced_exact
+        assert len(calls) < 10
+
+
 def test_witness_seeded_exact_path_matches_plain_enumeration():
-    # 12 < n <= exact_limit uses the witness-first search; cross-check it
+    # The witness-first search with its classic-cap exit; cross-check it
     # against the same per-subset evaluator run over every subset.
     from hypertrace.degeneracy import _pseudo_value_of_traces, _restriction_trace_masks
 

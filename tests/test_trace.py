@@ -6,6 +6,8 @@ from hypertrace import (
     build_hypergraph,
     degeneracy_chain_bounds,
     max_degree_bound,
+    neighborhood_hypergraph,
+    random_gnp,
     reduced_degeneracy,
     sauer_shelah_bound,
     trace_bound_profile,
@@ -67,6 +69,47 @@ def test_exact_witness_is_lexicographically_first():
     # Every pair of singleton edges attains the maximum; the first wins.
     H = build_hypergraph(3, [{0}, {1}, {2}])
     assert trace_function_exact(H, 2) == (2, (0, 1))
+
+
+class CountingMasks(tuple):
+    """A mask tuple that counts how often it is scanned."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+def test_exact_value_and_witness_match_oracle():
+    # Multi-edge hypergraphs with empty edges, and neighbourhood hypergraphs
+    # whose many distinct edges make the ceiling and the pruning fire.
+    rng = random.Random(2007)
+    cases = []
+    for _ in range(60):
+        n = rng.randint(0, 9)
+        edges = [frozenset(rng.sample(range(n), rng.randint(0, n))) for _ in range(rng.randint(0, 14))]
+        cases.append(build_hypergraph(n, edges, allow_multi=True))
+    for _ in range(12):
+        G = random_gnp(rng.randint(1, 12), rng.choice([0.15, 0.3, 0.5, 0.8]), seed=rng.randrange(10**9))
+        cases += [neighborhood_hypergraph(G, closed=True), neighborhood_hypergraph(G, closed=False)]
+    for H in cases:
+        for k in range(H.n + 1):
+            for include_empty in (False, True):
+                got = trace_function_exact(H, k, include_empty=include_empty)
+                assert got == brute_trace_function(H, k, include_empty), (H, k, include_empty)
+
+
+def test_exact_stops_at_the_ceiling():
+    # T_11 of the closed neighbourhoods of G(22, 0.3) reaches min(22, 2^11 - 1)
+    # early; enumerating all C(22, 11) = 705,432 subsets is not needed.
+    H = neighborhood_hypergraph(random_gnp(22, 0.3, seed=1), closed=True)
+    masks = CountingMasks(H.distinct_masks)
+    H.__dict__["distinct_masks"] = masks
+    value, witness = trace_function_exact(H, 11)
+    assert value == len(masks) == 22
+    assert len(witness) == 11
+    assert masks.scans <= 64
 
 
 def test_sauer_shelah_values():
