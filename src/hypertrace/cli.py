@@ -33,10 +33,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--budget-subsets", type=int, default=2_000_000,
+    p.add_argument("--budget-subsets", type=_non_negative, default=2_000_000,
                    help="max subsets any exact enumeration may touch")
-    p.add_argument("--exact-limit", type=int, default=18,
+    p.add_argument("--exact-limit", type=_non_negative, default=18,
                    help="largest vertex count for exact reduced degeneracy")
     p.add_argument("--allow-multi", action="store_true",
                    help="keep duplicate hypergraph edges instead of collapsing")
@@ -113,9 +123,11 @@ def _text_summary(doc: dict) -> str:
                 lines.append(f"dt {side}: {fmt(entry.get('value')) if 'value' in entry else entry.get('undefined', '-')}")
     if "domination" in results:
         for kind, entry in results["domination"].items():
+            best = max((b["ceiled"] for b in entry["lower_bounds"]), default=0)
             if entry["feasible"]:
-                best = max((b["ceiled"] for b in entry["lower_bounds"]), default=0)
                 lines.append(f"gamma {kind}: exact={fmt(entry['exact'])} best-lower-bound={best}")
+            elif entry["feasible"] is None:  # the exact search was skipped on budget
+                lines.append(f"gamma {kind}: skipped best-lower-bound={best}")
             else:
                 lines.append(f"gamma {kind}: infeasible ({entry['infeasible_reason']})")
     if "tree" in results:

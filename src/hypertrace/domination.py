@@ -66,17 +66,23 @@ def gamma_exact(G: Graph, kind: str, subset_budget: int = GAMMA_SUBSET_BUDGET) -
 
     Infeasible inputs (closed twins for ID, open twins or isolated
     vertices for OLD) yield a structured report naming a violating pair
-    instead of an exact value.  The search ascends through subset sizes
-    from an information-theoretic floor, so the first hit is minimum and
-    the lexicographically first witness is reported.
+    instead of an exact value.  The search (``separating_set``) ascends
+    through subset sizes from an information-theoretic floor, so the first
+    hit is minimum and the lexicographically first witness is reported.
+    It runs on the cached neighborhood hypergraph and is memoised there:
+    ID shares its outcome with ``dt_exact`` on the closed neighborhoods,
+    OLD with ``dt_exact`` on the open ones, and a budget that a search of
+    the same rows already exceeded raises without searching again.
+    ``subset_budget`` counts candidate sets in the plain size-ascending
+    order, pruned ones included.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     feasible, reason, pair = _feasibility(G, kind)
     if not feasible:
         return DominationReport(kind, False, None, None, (), reason, pair)
-    rows = neighborhood_hypergraph(G, closed=kind == "ID").edge_masks
-    combo = separating_set(rows, G.n, subset_budget, "domination", selected_exempt=kind == "LD")
+    H = neighborhood_hypergraph(G, closed=kind == "ID")
+    combo = separating_set(H, subset_budget, "domination", selected_exempt=kind == "LD")
     return DominationReport(kind, True, len(combo), combo)
 
 

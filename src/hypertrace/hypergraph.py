@@ -95,6 +95,13 @@ class Hypergraph:
         ``trace_function_exact`` and shared by every bound on this value."""
         return {}
 
+    @cached_property
+    def separating_memo(self) -> dict[bool, tuple[tuple[int, ...] | None, int]]:
+        """``separating_set`` outcomes keyed by ``selected_exempt``: the
+        witness positions and their rank once found, else ``None`` and the
+        largest budget the search exceeded."""
+        return {}
+
     def normalize_subset(self, subset: Iterable[int]) -> frozenset[int]:
         s = frozenset(subset)
         if not s <= self.vertices:

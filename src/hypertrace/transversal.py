@@ -9,12 +9,13 @@ exceeding that minimum, where T_j is the trace function at size j (or its
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import ceil
+from math import ceil, comb
 
+from .bitset import bits
 from .degeneracy import DegeneracyTriple
 from .errors import BudgetExceededError, MultiEdgeError
 from .hypergraph import Hypergraph
@@ -68,34 +69,121 @@ def _separates(rows: Sequence[int], smask: int, selected_exempt: bool) -> bool:
 
 
 def separating_set(
-    rows: Sequence[int], n: int, budget: int, search: str, selected_exempt: bool = False
+    H: Hypergraph, budget: int, search: str, selected_exempt: bool = False
 ) -> tuple[int, ...]:
-    """Lexicographically first minimum set S of positions in [0, n) that
-    gives every row a nonempty label ``row & S``, all labels distinct.
+    """Lexicographically first minimum set S of positions in ``H`` that
+    gives every edge mask (row) a nonempty label ``row & S``, all labels
+    distinct.
 
     The one search behind distinguishing transversals (rows are edge
     masks) and LD, ID and OLD (rows are neighborhood masks indexed by
     vertex).  With ``selected_exempt`` the row of a selected position
     needs no label, which is how LD differs.  Sizes ascend from the floor
-    where s positions can give 2^s - 1 labels.  Callers must ensure the
-    full position set qualifies; more than ``budget`` candidates raise
-    "<search> search budget exceeded".
+    where s positions can give 2^s - 1 labels; within a size, ``_search``
+    walks the sets depth-first in lexicographic order and cuts a prefix
+    after each pick when ``_can_separate`` rules out every completion.
+    With ``selected_exempt`` only the rows that can no longer be selected
+    (positions up to the last pick, outside the picks) are bounded.  Both
+    cuts are sound, so the witness is still the first minimum set.
+
+    The budget keeps its plain meaning: a set's rank in the size-ascending
+    enumeration of every candidate.  A skipped prefix is charged its
+    number of completions at once, so more than ``budget`` candidates
+    raise "<search> search budget exceeded" exactly where the plain
+    enumeration would.  Callers must ensure the full position set
+    qualifies.  The outcome is kept in ``H.separating_memo``: a found
+    witness is served to every budget at least its rank, and a budget no
+    larger than one already exceeded raises without searching again.
     """
+    memo = H.separating_memo
+    witness, count = memo.get(selected_exempt, (None, -1))
+    if witness is not None and count <= budget:
+        return witness
+    if witness is not None or budget <= count:
+        raise BudgetExceededError(f"{search} search budget exceeded", budget=budget)
+    try:
+        witness, rank = _search(H.edge_masks, H.n, budget, search, selected_exempt)
+    except BudgetExceededError:
+        memo[selected_exempt] = (None, budget)
+        raise
+    memo[selected_exempt] = (witness, rank)
+    return witness
+
+
+def _search(
+    rows: Sequence[int], n: int, budget: int, search: str, selected_exempt: bool
+) -> tuple[tuple[int, ...], int]:
+    """The separating set and its rank in the size-ascending enumeration.
+
+    Every candidate set is charged once: a tested set counts 1, and a
+    prefix cut after its pick at position p, with r picks left, counts its
+    C(n - p - 1, r) completions.
+    """
+    full = (1 << n) - 1
+    examined = 0
+
+    def charge(count: int) -> None:
+        nonlocal examined
+        examined += count
+        if examined > budget:
+            raise BudgetExceededError(f"{search} search budget exceeded", budget=budget)
+
+    def visit(smask: int, first: int, left: int) -> int | None:
+        """Mask of the first separating set that adds ``left`` positions
+        from ``first`` on to ``smask``, or None."""
+        for p in range(first, n - left + 1):
+            child = smask | 1 << p
+            if left == 1:
+                charge(1)
+                if _separates(rows, child, selected_exempt):
+                    return child
+                continue
+            reach = child | (full >> (p + 1) << (p + 1))
+            if selected_exempt:
+                # Only rows at or before p outside the picks keep needing a label.
+                needy = [row for x, row in enumerate(rows[: p + 1]) if not child >> x & 1]
+            else:
+                needy = rows
+            if _can_separate(needy, child, reach, left - 1):
+                found = visit(child, p + 1, left - 1)
+                if found is not None:
+                    return found
+            else:
+                charge(comb(n - p - 1, left - 1))
+        return None
+
     start = next(
         s for s in range(n + 1) if (1 << s) - 1 >= len(rows) - (s if selected_exempt else 0)
     )
-    examined = 0
     for size in range(start, n + 1):
-        for combo in combinations(range(n), size):
-            examined += 1
-            if examined > budget:
-                raise BudgetExceededError(f"{search} search budget exceeded", budget=budget)
-            smask = 0
-            for p in combo:
-                smask |= 1 << p
-            if _separates(rows, smask, selected_exempt):
-                return combo
+        if size == 0:
+            charge(1)
+            found = 0 if _separates(rows, 0, selected_exempt) else None
+        else:
+            found = visit(0, 0, size)
+        if found is not None:
+            return tuple(bits(found)), examined
     raise AssertionError("the full position set must separate every row")
+
+
+def _can_separate(rows: Sequence[int], smask: int, reach: int, left: int) -> bool:
+    """False when no ``left`` more positions from ``reach`` outside ``smask``
+    can give ``rows`` nonempty, pairwise distinct labels.
+
+    reach: every label lies inside ``reach``, so rows must already be
+    nonempty and pairwise distinct there.  groups: rows sharing a label on
+    ``smask`` differ only on the added positions, which give at most
+    ``2^left`` patterns, and rows with the empty label need a nonempty one,
+    so at most ``2^left - 1`` of them.
+    """
+    on_reach = {row & reach for row in rows}
+    if len(on_reach) < len(rows) or 0 in on_reach:
+        return False
+    cap = 1 << left
+    if cap > len(rows):
+        return True
+    groups = Counter(row & smask for row in rows)
+    return max(groups.values()) <= cap and groups[0] < cap
 
 
 def is_distinguishing_transversal(H: Hypergraph, subset) -> bool:
@@ -118,9 +206,13 @@ def dt_exact(
     """Minimum-size distinguishing transversal by size-ascending search.
 
     The whole vertex set always works for a simple hypergraph without empty
-    edges, so ``separating_set`` over the edge masks terminates.  When a
-    degeneracy triple is supplied the certified lower bounds are attached
-    to the result.
+    edges, so ``separating_set`` over the edge masks terminates.  Its
+    outcome is memoised on ``H``, so a later search of the same masks
+    (``gamma_exact`` for ID or OLD on a cached neighborhood hypergraph)
+    is answered without searching again.  ``subset_budget`` counts
+    candidate sets in the plain size-ascending order, pruned ones
+    included.  When a degeneracy triple is supplied the certified lower
+    bounds are attached to the result.
     """
     _require_simple(H)
     if any(not e for e in H.edges):
@@ -130,7 +222,7 @@ def dt_exact(
         bounds = tuple(dt_lower_bounds(H, degeneracy, j_max=j_max))
     if H.m == 0:
         return DtResult(0, (), bounds)
-    combo = separating_set(H.edge_masks, H.n, subset_budget, "transversal")
+    combo = separating_set(H, subset_budget, "transversal")
     return DtResult(len(combo), tuple(H.vertex_list[p] for p in combo), bounds)
 
 

@@ -7,6 +7,7 @@ between the two is meaningful evidence.
 
 from itertools import chain, combinations
 
+from hypertrace.errors import BudgetExceededError
 from hypertrace.graphs import Graph
 from hypertrace.hypergraph import Hypergraph
 
@@ -86,4 +87,28 @@ def brute_gamma(G: Graph, kind: str):
     for combo in subsets(range(G.n)):
         if ok(combo):
             return len(combo)
+    return None
+
+
+def plain_separating_set(rows, n, budget, selected_exempt=False):
+    """The unpruned separating-set search: every k-subset of positions in
+    size-ascending lexicographic order, raising once more than ``budget``
+    have been examined.  None when even the full position set fails."""
+    start = next(
+        s for s in range(n + 1) if (1 << s) - 1 >= len(rows) - (s if selected_exempt else 0)
+    )
+    examined = 0
+    for size in range(start, n + 1):
+        for combo in combinations(range(n), size):
+            examined += 1
+            if examined > budget:
+                raise BudgetExceededError("plain search budget exceeded", budget=budget)
+            chosen = set(combo)
+            labels = [
+                frozenset(b for b in range(n) if row >> b & 1) & chosen
+                for x, row in enumerate(rows)
+                if not (selected_exempt and x in chosen)
+            ]
+            if all(labels) and len(set(labels)) == len(labels):
+                return combo
     return None

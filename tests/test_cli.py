@@ -123,3 +123,22 @@ def test_bench_deterministic_instance_hashes(capsys):
     hashes1 = [line.split(",")[4] for line in out1.strip().splitlines()[1:]]
     hashes2 = [line.split(",")[4] for line in out2.strip().splitlines()[1:]]
     assert hashes1 == hashes2
+
+
+def test_text_summary_marks_budget_skips(capsys):
+    code, out, _ = run_cli(capsys, "analyze", str(FIXTURE), "--budget-subsets", "1", "--text")
+    assert code == 3
+    # LD and OLD are feasible on P4; only their exact searches ran out of budget.
+    assert "gamma LD: skipped best-lower-bound=2" in out
+    assert "gamma OLD: skipped best-lower-bound=4" in out
+    assert "infeasible" not in out
+
+
+@pytest.mark.parametrize("flag,value", [("--budget-subsets", "-5"), ("--exact-limit", "-3")])
+def test_negative_limits_are_usage_errors(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(FIXTURE), flag, value])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be non-negative" in captured.err

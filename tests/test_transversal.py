@@ -6,14 +6,22 @@ from math import ceil, log2
 import pytest
 
 from hypertrace import (
+    Budgets,
+    Hypergraph,
     build_hypergraph,
     dt_exact,
     dt_lower_bounds,
+    gamma_exact,
     is_distinguishing_transversal,
+    neighborhood_hypergraph,
     reduced_degeneracy,
+    run_report,
+    transversal,
 )
 from hypertrace.errors import BudgetExceededError, MultiEdgeError
-from oracles import brute_dt
+from hypertrace.generate import random_gnp, random_tree
+from hypertrace.transversal import separating_set
+from oracles import brute_dt, plain_separating_set
 
 
 def random_simple(rng, max_n=8, max_m=12, min_m=0):
@@ -155,3 +163,101 @@ def test_bounds_attached_to_result(tri):
     result = dt_exact(tri, degeneracy=reduced_degeneracy(tri))
     assert result.lower_bounds
     assert result.best_lower_bound == 2
+
+
+def _plain_outcome(rows, n, budget, selected_exempt):
+    try:
+        return plain_separating_set(rows, n, budget, selected_exempt)
+    except BudgetExceededError:
+        return "raise"
+
+
+def _outcome(H, budget, selected_exempt):
+    try:
+        return separating_set(H, budget, "parity", selected_exempt)
+    except BudgetExceededError as exc:
+        assert str(exc) == "parity search budget exceeded" and exc.budget == budget
+        return "raise"
+
+
+def _separating_cases(rng):
+    """(hypergraph, selected_exempt) pairs: DT rows of random simple
+    hypergraphs, ID and OLD rows of random graphs, and LD exempt rows."""
+    for _ in range(120):
+        n = rng.randint(1, 11)
+        G = random_gnp(n, rng.random(), seed=rng.randrange(10**6))
+        yield neighborhood_hypergraph(G, closed=False), True
+        for closed in (True, False):
+            H = neighborhood_hypergraph(G, closed=closed)
+            if not H.has_duplicate_edges and all(H.edges):
+                yield H, False
+    for _ in range(80):
+        n = rng.randint(1, 11)
+        edges = {frozenset(rng.sample(range(n), rng.randint(1, n))) for _ in range(rng.randint(1, 20))}
+        yield build_hypergraph(n, sorted(edges, key=sorted)), False
+
+
+def test_separating_set_matches_plain_enumeration():
+    """Witness and raise/no-raise equal the unpruned search at every budget,
+    on a fresh hypergraph and through one hypergraph's memo alike."""
+    rng = random.Random(5)
+    checked = 0
+    for H, exempt in _separating_cases(rng):
+        if plain_separating_set(H.edge_masks, H.n, 10**7, exempt) is None:
+            continue  # even the full vertex set does not separate
+        shared = Hypergraph(H.vertices, H.edges, H.allow_multi)
+        for budget in (rng.randint(1, 300), 10**7, rng.randint(1, 300), rng.randint(1, 300)):
+            want = _plain_outcome(H.edge_masks, H.n, budget, exempt)
+            fresh = Hypergraph(H.vertices, H.edges, H.allow_multi)
+            assert _outcome(fresh, budget, exempt) == want, (H.edges, exempt, budget)
+            assert _outcome(shared, budget, exempt) == want, (H.edges, exempt, budget)
+            checked += 1
+    assert checked > 600
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(transversal, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(transversal, name, counted)
+    return calls
+
+
+def test_pruned_search_tests_few_leaves(monkeypatch):
+    """The unpruned search tests 4,561 sets for this closed-neighborhood DT."""
+    H = neighborhood_hypergraph(random_gnp(16, 0.3, seed=1), closed=True)
+    tests = _count_calls(monkeypatch, "_separates")
+    assert dt_exact(H).value == 6
+    assert 0 < len(tests) < 500
+
+
+def test_report_shares_dt_searches_with_id_and_old(monkeypatch):
+    """DT-closed is ID and DT-open is OLD: five results from three searches."""
+    searches = _count_calls(monkeypatch, "_search")
+    report = run_report(random_gnp(16, 0.3, seed=1), analyses=("dt", "domination"))
+    assert not report.skipped
+    res = report.results
+    assert res["domination"]["ID"]["exact"] == res["dt"]["closed"]["value"]
+    assert res["domination"]["OLD"]["exact"] == res["dt"]["open"]["value"]
+    assert len(searches) == 3
+
+
+def test_skip_is_remembered_per_budget(monkeypatch):
+    """gamma-ID raises without searching once DT-closed is skipped at the
+    same budget, under its own label; a larger budget searches again."""
+    searches = _count_calls(monkeypatch, "_search")
+    G = random_tree(14, seed=2)
+    closed = neighborhood_hypergraph(G, closed=True)
+    report = run_report(G, budgets=Budgets(subset_budget=1000))
+    skipped = {s["stage"]: s["detail"] for s in report.skipped}
+    assert skipped["dt-closed"] == "transversal search budget exceeded"
+    assert skipped["gamma-ID"] == "domination search budget exceeded"
+    assert [args[2] for args in searches if args[0] is closed.edge_masks] == [1000]
+    with pytest.raises(BudgetExceededError, match="domination search budget exceeded"):
+        gamma_exact(G, "ID", subset_budget=999)
+    assert gamma_exact(G, "ID", subset_budget=10**7).exact == dt_exact(closed).value
+    assert [args[2] for args in searches if args[0] is closed.edge_masks] == [1000, 10**7]
