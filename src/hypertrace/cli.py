@@ -46,8 +46,6 @@ def _non_negative(text: str) -> int:
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--budget-subsets", type=_non_negative, default=2_000_000,
                    help="max subsets any exact enumeration may touch")
-    p.add_argument("--exact-limit", type=_non_negative, default=18,
-                   help="largest vertex count for exact reduced degeneracy")
     p.add_argument("--allow-multi", action="store_true",
                    help="keep duplicate hypergraph edges instead of collapsing")
     p.add_argument("--json", dest="as_json", action="store_true", help="emit JSON")
@@ -75,7 +73,7 @@ def _emit(payload: str, out: Path | None):
 
 def _report_command(args, analyses) -> int:
     instance = _load_instance(args.file, args.allow_multi)
-    budgets = Budgets(subset_budget=args.budget_subsets, exact_limit=args.exact_limit)
+    budgets = Budgets(subset_budget=args.budget_subsets)
     report = run_report(instance, analyses=analyses, budgets=budgets, source=str(args.file))
     doc = report.to_dict()
     validate_report(doc)
@@ -92,11 +90,8 @@ def _text_summary(doc: dict) -> str:
     def fmt(value):
         if value is None:
             return "-"
-        if isinstance(value, dict):
-            if "value" in value:
-                return f"{value['value']} ({value['exactness']})"
-            if "low" in value:
-                return f"[{value['low']}, {value['high']}] ({value['exactness']})"
+        if isinstance(value, dict) and "value" in value:
+            return f"{value['value']} ({value['exactness']})"
         return str(value)
 
     results = doc["results"]

@@ -1,15 +1,16 @@
 """Min-degree peeling engines for the three degeneracy variants.
 
-Three quantities are computed, all defined through repeated removal of a
-minimum-degree vertex:
+Three quantities are defined through repeated removal of a minimum-degree
+vertex:
 
 * classic degeneracy  -- the residual hypergraph after each removal is the
   restriction to the remaining vertices, so traces that became equal merge
   into one edge;
 * pseudo degeneracy   -- each removal deletes the vertex together with every
   edge containing it, and surviving edges are never modified;
-* reduced degeneracy  -- the largest pseudo degeneracy over all restrictions,
-  found by subset enumeration at desk scale.
+* reduced degeneracy  -- the largest pseudo degeneracy over all restrictions.
+  It equals the classic degeneracy for every hypergraph (the proof is on
+  ``DegeneracyTriple.reduced``), so the two peels compute all three.
 
 All three are evaluated on the distinct edges of the input: duplicate edges
 say nothing about which vertex subsets can be separated, and keeping them
@@ -31,7 +32,6 @@ from .errors import BudgetExceededError
 from .hypergraph import Hypergraph
 
 ORACLE_VERTEX_CAP = 20
-EXACT_LIMIT_DEFAULT = 18
 
 
 @dataclass(frozen=True)
@@ -45,28 +45,22 @@ class PeelResult:
 
 @dataclass(frozen=True)
 class DegeneracyTriple:
-    """The three degeneracy variants of one hypergraph.
-
-    ``reduced_low == reduced_high`` iff the reduced value is exact; otherwise
-    the pair is the sandwich envelope [pseudo, classic].
-    """
+    """The three degeneracy variants of one hypergraph, from its two peels."""
 
     pseudo: int
     classic: int
-    reduced_low: int
-    reduced_high: int
-    reduced_exact: bool
 
     @property
-    def reduced(self) -> int | tuple[int, int]:
-        if self.reduced_exact:
-            return self.reduced_low
-        return (self.reduced_low, self.reduced_high)
+    def reduced(self) -> int:
+        """The largest pseudo-peel value over all restrictions: ``classic``.
 
-    @property
-    def reduced_upper(self) -> int:
-        """Best available upper estimate of the reduced degeneracy."""
-        return self.reduced_high
+        (<=) A pseudo peel removes each vertex at no more than its degree in
+        the restriction to the vertices left, and a restriction of a
+        restriction is a restriction, so no value exceeds ``classic``.
+        (>=) Let S be the classic peel's residual set at its peak: the first
+        pseudo step on H|S removes a vertex of degree mindeg(H|S) = classic.
+        """
+        return self.classic
 
 
 def peel_degeneracy(H: Hypergraph) -> PeelResult:
@@ -219,42 +213,6 @@ def peel_pseudo_degeneracy(H: Hypergraph) -> PeelResult:
     return PeelResult(tuple(order), tuple(seq), max(seq, default=0))
 
 
-def _pseudo_value_of_traces(trace_masks: list[int], smask: int) -> int:
-    """Pseudo-peel value of the hypergraph (bits of smask, trace_masks)."""
-    vs = list(bits(smask))
-    inc: dict[int, list[int]] = {v: [] for v in vs}
-    for i, t in enumerate(trace_masks):
-        for v in bits(t):
-            inc[v].append(i)
-    deg = {v: len(inc[v]) for v in vs}
-    alive = [True] * len(trace_masks)
-    remaining = set(vs)
-    best = 0
-    while remaining:
-        v = min(remaining, key=lambda u: (deg[u], u))
-        if deg[v] > best:
-            best = deg[v]
-        remaining.discard(v)
-        for i in inc[v]:
-            if alive[i]:
-                alive[i] = False
-                for u in bits(trace_masks[i]):
-                    if u != v:
-                        deg[u] -= 1
-    return best
-
-
-def _restriction_trace_masks(edge_masks: tuple[int, ...], smask: int) -> list[int]:
-    seen: set[int] = set()
-    out = []
-    for em in edge_masks:
-        t = em & smask
-        if t and t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
-
-
 def degeneracy_oracle(H: Hypergraph) -> int:
     """Largest minimum degree over all restrictions, by full enumeration.
 
@@ -304,43 +262,6 @@ def pseudo_degeneracy_oracle(H: Hypergraph) -> int:
     return best
 
 
-def reduced_degeneracy(H: Hypergraph, exact_limit: int = EXACT_LIMIT_DEFAULT) -> DegeneracyTriple:
-    """All three degeneracy variants, with the reduced value exact when feasible.
-
-    The reduced degeneracy is the maximum pseudo-peel value over all
-    restrictions.  Up to ``exact_limit`` vertices the enumeration starts
-    from the classic peel's witness subset (the residual vertex set at the
-    step attaining the classic value) and stops as soon as the running
-    maximum reaches the classic degeneracy, which is a sound cap because
-    merging traces never lowers a degree below its pseudo counterpart.
-    Above ``exact_limit`` the sandwich envelope [pseudo, classic] is
-    reported instead.
-    """
-    classic_peel = peel_degeneracy(H)
-    pseudo_peel = peel_pseudo_degeneracy(H)
-    classic = classic_peel.value
-    pseudo = pseudo_peel.value
-    n = H.n
-    if n > exact_limit:
-        return DegeneracyTriple(pseudo, classic, pseudo, classic, False)
-    if n == 0:
-        return DegeneracyTriple(0, 0, 0, 0, True)
-    masks = H.distinct_masks
-    # Witness-first evaluation: the residual set at the peak peel step.
-    peak = classic_peel.degree_sequence.index(classic)
-    witness = 0
-    pos = H.vertex_pos
-    for v in classic_peel.order[peak:]:
-        witness |= 1 << pos[v]
-    best = _pseudo_value_of_traces(_restriction_trace_masks(masks, witness), witness)
-    if best < classic:
-        for smask in range(1, 1 << n):
-            traces = _restriction_trace_masks(masks, smask)
-            if len(traces) <= best:
-                continue
-            val = _pseudo_value_of_traces(traces, smask)
-            if val > best:
-                best = val
-                if best >= classic:
-                    break
-    return DegeneracyTriple(pseudo, classic, best, best, True)
+def reduced_degeneracy(H: Hypergraph) -> DegeneracyTriple:
+    """All three degeneracy variants: the two peels, and ``reduced`` is ``classic``."""
+    return DegeneracyTriple(peel_pseudo_degeneracy(H).value, peel_degeneracy(H).value)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from .degeneracy import DegeneracyTriple, EXACT_LIMIT_DEFAULT, reduced_degeneracy
+from .degeneracy import DegeneracyTriple, reduced_degeneracy
 from .errors import NotATreeError
 from .graphs import Graph, find_twins, neighborhood_hypergraph, tree_stats
 from .trace import trace_value
@@ -87,7 +87,7 @@ def gamma_exact(G: Graph, kind: str, subset_budget: int = GAMMA_SUBSET_BUDGET) -
 
 
 def _ld_pair_bounds(
-    n: int, j: int, closed_data: tuple[int, int, str, bool], open_data: tuple[int, int, str, bool]
+    n: int, j: int, closed_data: tuple[int, int, str], open_data: tuple[int, int, str]
 ) -> list[BoundEntry]:
     """LD bounds pairing each hypergraph's trace value with its own degeneracy.
 
@@ -99,13 +99,12 @@ def _ld_pair_bounds(
     certified and is therefore never emitted.
     """
     entries = []
-    for name, (delta, t_j, form, exact) in (
+    for name, (delta, t_j, form) in (
         ("ld-closed-pair", closed_data),
         ("ld-open-pair", open_data),
     ):
-        flags = () if exact else ("safe-weakened",)
         value = Fraction(n + delta * j - t_j, delta + 1)
-        entries.append(BoundEntry(name, j, value, form, delta, flags))
+        entries.append(BoundEntry(name, j, value, form, delta))
     return entries
 
 
@@ -127,7 +126,6 @@ class KindBounds:
 def domination_lower_bounds(
     G: Graph,
     j_max: int = 8,
-    exact_limit: int = EXACT_LIMIT_DEFAULT,
     closed_degeneracy: DegeneracyTriple | None = None,
     open_degeneracy: DegeneracyTriple | None = None,
 ) -> dict[str, KindBounds]:
@@ -141,19 +139,14 @@ def domination_lower_bounds(
     n = G.n
     H = neighborhood_hypergraph(G, closed=True)
     Ho = neighborhood_hypergraph(G, closed=False)
-    dc = closed_degeneracy or reduced_degeneracy(H, exact_limit)
-    do = open_degeneracy or reduced_degeneracy(Ho, exact_limit)
+    dc = closed_degeneracy or reduced_degeneracy(H)
+    do = open_degeneracy or reduced_degeneracy(Ho)
     out: dict[str, KindBounds] = {}
 
     def ld_entries_at(j: int) -> list[BoundEntry]:
         tc, fc = trace_value(H, j)
         to, fo = trace_value(Ho, j)
-        return _ld_pair_bounds(
-            n,
-            j,
-            (dc.reduced_upper, tc, fc, dc.reduced_exact),
-            (do.reduced_upper, to, fo, do.reduced_exact),
-        )
+        return _ld_pair_bounds(n, j, (dc.reduced, tc, fc), (do.reduced, to, fo))
 
     closed_twins = find_twins(G, closed=True)
     open_twins = find_twins(G, closed=False)
@@ -174,25 +167,18 @@ def domination_lower_bounds(
             batch = ld_entries_at(j)
             if kind == "ID":
                 t_j, form = trace_value(H, j)
-                flags = () if dc.reduced_exact else ("safe-weakened",)
                 batch.append(
-                    BoundEntry(
-                        "id-transversal", j, Fraction(n - t_j, dc.reduced_upper) + j, form, dc.reduced_upper, flags
-                    )
+                    BoundEntry("id-transversal", j, Fraction(n - t_j, dc.reduced) + j, form, dc.reduced)
                 )
             elif kind == "OLD":
                 t_open, form_o = trace_value(Ho, j)
                 t_closed, form_c = trace_value(H, j)
-                flags = () if do.reduced_exact else ("safe-weakened",)
-                certified_value = Fraction(n - t_open, do.reduced_upper) + j
-                literal_value = Fraction(n - t_closed, do.reduced_upper) + j
-                if literal_value != certified_value:
-                    flags = flags + ("formula-discrepancy",)
+                certified_value = Fraction(n - t_open, do.reduced) + j
+                literal_value = Fraction(n - t_closed, do.reduced) + j
+                flags = ("formula-discrepancy",) if literal_value != certified_value else ()
                 value = min(certified_value, literal_value)
                 form = form_o if value == certified_value else form_c
-                batch.append(
-                    BoundEntry("old-transversal", j, value, form, do.reduced_upper, flags)
-                )
+                batch.append(BoundEntry("old-transversal", j, value, form, do.reduced, flags))
             for entry in batch:
                 entries.append(entry)
                 certified = max(certified, entry.ceiled)
@@ -238,13 +224,11 @@ def tree_lower_bounds(G: Graph) -> TreeBounds:
 class CertificateItem:
     name: str
     limit: int
-    low: int
-    high: int
-    exact: bool
+    value: int
 
     @property
     def passed(self) -> bool:
-        return self.high <= self.limit
+        return self.value <= self.limit
 
 
 @dataclass(frozen=True)
@@ -256,13 +240,11 @@ class TreeCertificates:
         return all(item.passed for item in self.items)
 
 
-def tree_degeneracy_certificates(G: Graph, exact_limit: int = EXACT_LIMIT_DEFAULT) -> TreeCertificates:
+def tree_degeneracy_certificates(G: Graph) -> TreeCertificates:
     """Check the five degeneracy caps that hold for neighborhood hypergraphs of trees.
 
     Closed: classic <= 3 and pseudo <= 2.  Open: classic <= 2, reduced <= 2,
-    pseudo <= 2.  The reduced value is exact up to ``exact_limit`` vertices
-    and otherwise reported as its [pseudo, classic] envelope, whose upper
-    end already decides the check.
+    pseudo <= 2.  Every value is exact.
     """
     if not G.is_tree:
         raise NotATreeError("certificates require a tree")
@@ -270,14 +252,14 @@ def tree_degeneracy_certificates(G: Graph, exact_limit: int = EXACT_LIMIT_DEFAUL
         raise ValueError("certificates are stated for trees on at least 2 vertices")
     H = neighborhood_hypergraph(G, closed=True)
     Ho = neighborhood_hypergraph(G, closed=False)
-    dc = reduced_degeneracy(H, exact_limit)
-    do = reduced_degeneracy(Ho, exact_limit)
+    dc = reduced_degeneracy(H)
+    do = reduced_degeneracy(Ho)
     items = (
-        CertificateItem("classic-closed", 3, dc.classic, dc.classic, True),
-        CertificateItem("classic-open", 2, do.classic, do.classic, True),
-        CertificateItem("reduced-open", 2, do.reduced_low, do.reduced_high, do.reduced_exact),
-        CertificateItem("pseudo-closed", 2, dc.pseudo, dc.pseudo, True),
-        CertificateItem("pseudo-open", 2, do.pseudo, do.pseudo, True),
+        CertificateItem("classic-closed", 3, dc.classic),
+        CertificateItem("classic-open", 2, do.classic),
+        CertificateItem("reduced-open", 2, do.reduced),
+        CertificateItem("pseudo-closed", 2, dc.pseudo),
+        CertificateItem("pseudo-open", 2, do.pseudo),
     )
     return TreeCertificates(items)
 

@@ -2,10 +2,11 @@
 
 The report is deterministic apart from its timing block: identical
 instance, analyses, and budgets produce byte-identical JSON when timings
-are omitted.  Every numeric result carries an exactness flag (``exact``,
-``bound``, or ``safe-weakened``), and every cross-check of a mathematical
-inequality lands in the ``checks`` list; a failed check means the
-implementation (not the mathematics) is wrong and flips the exit code.
+are omitted.  Every numeric result carries an exactness flag (``exact`` or
+``bound``); the reduced degeneracy is the classic value, so it is exact at
+every size.  Every cross-check of a mathematical inequality lands in the
+``checks`` list; a failed check means the implementation (not the
+mathematics) is wrong and flips the exit code.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import __version__
-from .degeneracy import DegeneracyTriple, EXACT_LIMIT_DEFAULT, reduced_degeneracy
+from .degeneracy import DegeneracyTriple, reduced_degeneracy
 from .domination import (
     KINDS,
     domination_lower_bounds,
@@ -39,7 +40,6 @@ ALL_ANALYSES = ("degeneracy", "trace", "vc", "dt", "domination", "tree")
 @dataclass(frozen=True)
 class Budgets:
     subset_budget: int = 2_000_000
-    exact_limit: int = EXACT_LIMIT_DEFAULT
     j_max: int = 8
     trace_sizes: tuple[int, ...] | None = None
 
@@ -81,14 +81,7 @@ def exact_value(v: int) -> dict:
     return {"value": v, "exactness": "exact"}
 
 
-def interval_value(low: int, high: int, exact: bool) -> dict:
-    if exact:
-        return {"value": low, "exactness": "exact"}
-    return {"low": low, "high": high, "exactness": "bound"}
-
-
 def bound_entry_dict(b: BoundEntry) -> dict:
-    exactness = "safe-weakened" if "safe-weakened" in b.flags else "bound"
     return {
         "name": b.name,
         "j": b.j,
@@ -97,7 +90,7 @@ def bound_entry_dict(b: BoundEntry) -> dict:
         "form": b.form,
         "delta_estimate_used": b.delta_estimate_used,
         "flags": list(b.flags),
-        "exactness": exactness,
+        "exactness": "bound",
     }
 
 
@@ -105,7 +98,7 @@ def triple_dict(t: DegeneracyTriple) -> dict:
     return {
         "pseudo": exact_value(t.pseudo),
         "classic": exact_value(t.classic),
-        "reduced": interval_value(t.reduced_low, t.reduced_high, t.reduced_exact),
+        "reduced": exact_value(t.reduced),
     }
 
 
@@ -206,13 +199,10 @@ def _vc_section(H: Hypergraph, r: _Runner, budgets: Budgets) -> VcResult | None:
 
 def _analyze_hypergraph(H: Hypergraph, r: _Runner, budgets: Budgets, analyses) -> None:
     res = r.report.results
-    triple = r.stage("degeneracy", lambda: reduced_degeneracy(H, budgets.exact_limit))
+    triple = r.stage("degeneracy", lambda: reduced_degeneracy(H))
     if "degeneracy" in analyses:
         res["degeneracy"] = triple_dict(triple)
-        r.check(
-            "degeneracy-sandwich",
-            triple.pseudo <= triple.reduced_low and triple.reduced_high <= triple.classic,
-        )
+        r.check("degeneracy-sandwich", triple.pseudo <= triple.reduced <= triple.classic)
 
     if "trace" in analyses:
         profiles = []
@@ -290,15 +280,12 @@ def _analyze_graph(G: Graph, r: _Runner, budgets: Budgets, analyses) -> None:
         "closed_twins": [list(p) for p in find_twins(G, closed=True)],
         "open_twins": [list(p) for p in find_twins(G, closed=False)],
     }
-    dc = r.stage("degeneracy-closed", lambda: reduced_degeneracy(H, budgets.exact_limit))
-    do = r.stage("degeneracy-open", lambda: reduced_degeneracy(Ho, budgets.exact_limit))
+    dc = r.stage("degeneracy-closed", lambda: reduced_degeneracy(H))
+    do = r.stage("degeneracy-open", lambda: reduced_degeneracy(Ho))
     if "degeneracy" in analyses:
         res["degeneracy"] = {"closed": triple_dict(dc), "open": triple_dict(do)}
         for name, t in (("closed", dc), ("open", do)):
-            r.check(
-                f"degeneracy-sandwich-{name}",
-                t.pseudo <= t.reduced_low and t.reduced_high <= t.classic,
-            )
+            r.check(f"degeneracy-sandwich-{name}", t.pseudo <= t.reduced <= t.classic)
         r.check("classic-closed-within-max-degree", dc.classic <= G.max_degree + 1)
         r.check("classic-open-within-max-degree", do.classic <= max(G.max_degree, 0))
 
@@ -371,8 +358,7 @@ def _analyze_graph(G: Graph, r: _Runner, budgets: Budgets, analyses) -> None:
         kind_bounds = r.stage(
             "domination-bounds",
             lambda: domination_lower_bounds(
-                G, j_max=budgets.j_max, exact_limit=budgets.exact_limit,
-                closed_degeneracy=dc, open_degeneracy=do,
+                G, j_max=budgets.j_max, closed_degeneracy=dc, open_degeneracy=do
             ),
         )
         block = {}
@@ -420,14 +406,14 @@ def _analyze_graph(G: Graph, r: _Runner, budgets: Budgets, analyses) -> None:
             }
         }
         if G.n >= 2:
-            certs = tree_degeneracy_certificates(G, exact_limit=budgets.exact_limit)
+            certs = tree_degeneracy_certificates(G)
             tree_block["certificates"] = [
                 {
                     "name": item.name,
                     "limit": item.limit,
-                    "low": item.low,
-                    "high": item.high,
-                    "exactness": "exact" if item.exact else "bound",
+                    "low": item.value,
+                    "high": item.value,
+                    "exactness": "exact",
                     "passed": item.passed,
                 }
                 for item in certs.items

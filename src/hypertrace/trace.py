@@ -170,17 +170,15 @@ class ChainBounds:
     """Degeneracy-driven trace bounds for one subset size.
 
     Each entry is (j, bound, form): the bound splits a k-subset into the
-    first k-j peel steps, each contributing at most the reduced-degeneracy
-    upper estimate, plus all traces on the last j vertices (exact trace
-    value when cheap, else 2^j - 1).
+    first k-j peel steps, each contributing at most the reduced degeneracy,
+    plus all traces on the last j vertices (exact trace value when cheap,
+    else 2^j - 1).
     """
 
     k: int
     entries: tuple[tuple[int, int, str], ...]
     reduced_times_k: int
     classic_times_k: int
-    delta_estimate_used: int
-    safe_weakened: bool
 
 
 def degeneracy_chain_bounds(
@@ -192,19 +190,17 @@ def degeneracy_chain_bounds(
     """Evaluate the peel-split trace bounds for every j up to ``j_max``."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    upper = degeneracy.reduced_upper
+    delta = degeneracy.reduced
     j_top = k if j_max is None else min(j_max, k)
     entries = []
     for j in range(j_top + 1):
         t_j, form = trace_value(H, j)
-        entries.append((j, upper * (k - j) + t_j, form))
+        entries.append((j, delta * (k - j) + t_j, form))
     return ChainBounds(
         k=k,
         entries=tuple(entries),
-        reduced_times_k=upper * k,
+        reduced_times_k=delta * k,
         classic_times_k=degeneracy.classic * k,
-        delta_estimate_used=upper,
-        safe_weakened=not degeneracy.reduced_exact,
     )
 
 

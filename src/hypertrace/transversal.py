@@ -235,9 +235,7 @@ def dt_lower_bounds(
 
     The parameter j must not exceed the (unknown) answer, so values of j
     are admitted incrementally: j = 0 is always sound, and each further j
-    is used only once the bounds already certified reach it.  Using an
-    upper estimate of the reduced degeneracy only enlarges the denominator,
-    so substituting the classic degeneracy stays sound and is flagged.
+    is used only once the bounds already certified reach it.
     """
     _require_simple(H)
     if any(not e for e in H.edges):
@@ -245,8 +243,7 @@ def dt_lower_bounds(
     m = H.m
     if m == 0:
         return [BoundEntry("dt", 0, Fraction(0), "exact-T", 0)]
-    delta = degeneracy.reduced_upper
-    flags = () if degeneracy.reduced_exact else ("safe-weakened",)
+    delta = degeneracy.reduced
     entries: list[BoundEntry] = []
     certified = 0
     j = 0
@@ -257,7 +254,7 @@ def dt_lower_bounds(
             forms.append(((1 << j) - 1, "power-of-two"))
         for t, form in forms:
             value = Fraction(m - t, delta) + j
-            entries.append(BoundEntry("dt", j, value, form, delta, flags))
+            entries.append(BoundEntry("dt", j, value, form, delta))
             certified = max(certified, ceil(value))
         j += 1
     return entries

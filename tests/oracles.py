@@ -45,6 +45,24 @@ def brute_restriction_edges(H: Hypergraph, S):
     return {e & S for e in H.edges if e & S}
 
 
+def brute_pseudo_peel(vertices, edges) -> int:
+    """Pseudo-peel value: drop a minimum-degree vertex with every edge on it."""
+    remaining, alive = set(vertices), set(edges)
+    best = 0
+    while remaining:
+        degree = {v: sum(1 for e in alive if v in e) for v in remaining}
+        v = min(remaining, key=lambda u: (degree[u], u))
+        best = max(best, degree[v])
+        remaining.discard(v)
+        alive = {e for e in alive if v not in e}
+    return best
+
+
+def brute_reduced(H: Hypergraph) -> int:
+    """Reduced degeneracy: the largest pseudo-peel value over all restrictions."""
+    return max(brute_pseudo_peel(S, brute_restriction_edges(H, S)) for S in subsets(H.vertices))
+
+
 def brute_is_shattered(H: Hypergraph, S) -> bool:
     S = frozenset(S)
     realized = {e & S for e in H.edges}

@@ -85,10 +85,10 @@ def test_criterion_1_degeneracy_oracle_equivalence():
             violations.append(("classic", H))
         if pseudo != pseudo_degeneracy_oracle(H):
             violations.append(("pseudo", H))
-        triple = reduced_degeneracy(H)  # n <= 10 <= 12: always exact
-        if not triple.reduced_exact:
+        triple = reduced_degeneracy(H)
+        if triple.reduced != classic:
             violations.append(("exactness", H))
-        if not (triple.pseudo <= triple.reduced_low <= triple.reduced_high <= triple.classic):
+        if not triple.pseudo <= triple.reduced <= triple.classic:
             violations.append(("sandwich", H))
     elapsed = time.perf_counter() - start
     _report(
@@ -190,11 +190,11 @@ def test_criterion_6_tree_certificates_and_bounds():
     rng = random.Random(606)
     for _ in range(500):
         G = random_tree(rng.randint(4, 200), seed=rng.randrange(10**9))
-        certs = tree_degeneracy_certificates(G, exact_limit=18)
+        certs = tree_degeneracy_certificates(G)
         if not certs.all_passed:
             bad += 1
-        reduced = next(i for i in certs.items if i.name == "reduced-open")
-        if G.n <= 18 and not reduced.exact:
+        values = {item.name: item.value for item in certs.items}
+        if values["reduced-open"] != values["classic-open"]:
             bad += 1
     rng = random.Random(607)
     for _ in range(300):

@@ -134,11 +134,19 @@ def test_text_summary_marks_budget_skips(capsys):
     assert "infeasible" not in out
 
 
-@pytest.mark.parametrize("flag,value", [("--budget-subsets", "-5"), ("--exact-limit", "-3")])
-def test_negative_limits_are_usage_errors(capsys, flag, value):
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--budget-subsets", "-5", "argument --budget-subsets: must be non-negative"),
+        # The reduced degeneracy is exact at every size, so the flag is gone.
+        ("--exact-limit", "5", "unrecognized arguments: --exact-limit 5"),
+    ],
+    ids=["--budget-subsets--5", "--exact-limit-5"],
+)
+def test_negative_limits_are_usage_errors(capsys, flag, value, message):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", str(FIXTURE), flag, value])
     assert exc.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"argument {flag}: must be non-negative" in captured.err
+    assert message in captured.err

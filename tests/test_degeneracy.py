@@ -10,13 +10,13 @@ from hypertrace import (
     peel_degeneracy,
     peel_pseudo_degeneracy,
     pseudo_degeneracy_oracle,
+    random_gnp,
     random_tree,
     reduced_degeneracy,
     restriction,
 )
-from hypertrace import degeneracy
 from hypertrace.errors import BudgetExceededError
-from oracles import min_degree
+from oracles import brute_reduced, min_degree
 
 
 @st.composite
@@ -83,20 +83,12 @@ def test_oracle_refuses_large():
 
 def test_reduced_triangle(tri):
     triple = reduced_degeneracy(tri)
-    assert triple.reduced_exact
     assert (triple.pseudo, triple.reduced, triple.classic) == (2, 2, 2)
 
 
 def test_reduced_edgeless():
     triple = reduced_degeneracy(build_hypergraph(4, []))
     assert (triple.pseudo, triple.reduced, triple.classic) == (0, 0, 0)
-
-
-def test_reduced_envelope_above_limit(tri):
-    triple = reduced_degeneracy(tri, exact_limit=2)
-    assert not triple.reduced_exact
-    assert triple.reduced == (triple.pseudo, triple.classic)
-    assert triple.reduced_upper == triple.classic
 
 
 def test_ties_break_to_lowest_index():
@@ -111,7 +103,7 @@ def test_multi_edges_do_not_inflate_degeneracy():
     assert peel_pseudo_degeneracy(H).value == 1
     assert peel_degeneracy(H).value == 1
     triple = reduced_degeneracy(H)
-    assert triple.pseudo <= triple.reduced_low <= triple.reduced_high <= triple.classic
+    assert triple.pseudo <= triple.reduced <= triple.classic
 
 
 @settings(max_examples=80, deadline=None)
@@ -119,14 +111,6 @@ def test_multi_edges_do_not_inflate_degeneracy():
 def test_peels_match_oracles(H):
     assert peel_degeneracy(H).value == degeneracy_oracle(H)
     assert peel_pseudo_degeneracy(H).value == pseudo_degeneracy_oracle(H)
-
-
-@settings(max_examples=60, deadline=None)
-@given(hypergraphs(max_n=7))
-def test_sandwich(H):
-    triple = reduced_degeneracy(H)
-    assert triple.reduced_exact
-    assert triple.pseudo <= triple.reduced_low <= triple.reduced_high <= triple.classic
 
 
 @settings(max_examples=40, deadline=None)
@@ -168,41 +152,27 @@ def test_peel_degree_sequence_is_min_degree_at_each_step():
             remaining.remove(v)
 
 
-def test_reduced_stops_at_the_classic_cap(monkeypatch):
-    # On a tree's neighbourhood hypergraphs the classic peel's witness already
-    # attains the classic value, so no other subset is pseudo-peeled.
-    calls = []
-    inner = degeneracy._pseudo_value_of_traces
-
-    def counted(trace_masks, smask):
-        calls.append(smask)
-        return inner(trace_masks, smask)
-
-    monkeypatch.setattr(degeneracy, "_pseudo_value_of_traces", counted)
-    G = random_tree(10, seed=5)
-    for closed in (True, False):
-        calls.clear()
-        triple = reduced_degeneracy(neighborhood_hypergraph(G, closed))
-        assert triple.reduced_exact
-        assert len(calls) < 10
+def _assert_reduced_is_classic(H):
+    triple = reduced_degeneracy(H)
+    assert triple.reduced == triple.classic == degeneracy_oracle(H) == brute_reduced(H), H
+    assert triple.pseudo <= triple.reduced
 
 
-def test_witness_seeded_exact_path_matches_plain_enumeration():
-    # The witness-first search with its classic-cap exit; cross-check it
-    # against the same per-subset evaluator run over every subset.
-    from hypertrace.degeneracy import _pseudo_value_of_traces, _restriction_trace_masks
+def test_reduced_is_classic_on_random_hypergraphs():
+    # Multi-edge hypergraphs with empty edges, against a frozenset pseudo peel
+    # of every restriction.
+    rng = random.Random(2020)
+    for _ in range(150):
+        n = rng.randint(0, 9)
+        edges = [frozenset(rng.sample(range(n), rng.randint(0, n))) for _ in range(rng.randint(0, 14))]
+        _assert_reduced_is_classic(build_hypergraph(n, edges, allow_multi=True))
 
-    rng = random.Random(5)
-    for _ in range(2):
-        n = 13
-        edges = [frozenset(rng.sample(range(n), rng.randint(1, 4))) for _ in range(20)]
-        H = build_hypergraph(n, edges, allow_multi=True)
-        fast = reduced_degeneracy(H, exact_limit=14)
-        assert fast.reduced_exact
-        masks = tuple({em for em in H.edge_masks if em})
-        best = 0
-        for smask in range(1, 1 << n):
-            traces = _restriction_trace_masks(masks, smask)
-            if traces:
-                best = max(best, _pseudo_value_of_traces(traces, smask))
-        assert fast.reduced == best
+
+def test_reduced_is_classic_on_neighbourhood_hypergraphs():
+    rng = random.Random(13)
+    for _ in range(12):
+        G = random_gnp(rng.randint(1, 10), rng.choice([0.15, 0.3, 0.5, 0.8]), seed=rng.randrange(10**9))
+        T = random_tree(rng.randint(1, 10), seed=rng.randrange(10**9))
+        for graph in (G, T):
+            for closed in (True, False):
+                _assert_reduced_is_classic(neighborhood_hypergraph(graph, closed))

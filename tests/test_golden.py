@@ -30,7 +30,7 @@ DIGESTS = {
     "tree10": "35cdf8686805524af43bf69f7a2c027650ddf2ce49b90d2f4a1c6bb5c489de29",
     "tree14": "d5b8fbfd5a17b65321c00092d06ed8fcae725130b4c40335cb4c905fd99645f4",
     "h14": "ad25377554fa6786ccae94514a7c77a07bf901c7d1d13069e9f53fbb3c29af05",
-    "h50": "13ee5139882c5b9180053b1e631025280ee0f840e0b76d695947be9994efec7e",
+    "h50": "55d649f23026e2fdde87e104178485cf8e17d704c6d46deb3d6ef69f063fd299",
 }
 
 SKIPPED = {

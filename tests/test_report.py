@@ -3,7 +3,7 @@ import json
 import pytest
 
 from hypertrace import Budgets, build_hypergraph, run_report, validate_report
-from hypertrace.generate import random_tree
+from hypertrace.generate import random_hypergraph, random_tree
 
 
 def test_hypergraph_report(tri):
@@ -77,6 +77,26 @@ def test_tree_report_has_certificates():
     certs = doc["results"]["tree"]["certificates"]
     assert len(certs) == 5
     assert all(item["passed"] for item in certs)
+
+
+@pytest.mark.parametrize(
+    "build,budget",
+    [
+        (lambda: random_tree(30, seed=1), 1000),
+        (lambda: random_hypergraph(50, 66, max_edge_size=6, seed=37), 30000),
+    ],
+    ids=["tree30", "h50"],
+)
+def test_reduced_is_exact_above_eighteen_vertices(build, budget):
+    report = run_report(build(), budgets=Budgets(subset_budget=budget))
+    text = report.to_json(include_timings=False)
+    assert "safe-weakened" not in text
+    results = json.loads(text)["results"]
+    deg = results["degeneracy"]
+    for triple in (deg["closed"], deg["open"]) if "closed" in deg else (deg,):
+        assert triple["reduced"] == {"value": triple["classic"]["value"], "exactness": "exact"}
+    for item in results.get("tree", {}).get("certificates", ()):
+        assert item["exactness"] == "exact" and item["low"] == item["high"]
 
 
 def test_failed_check_flips_exit_code(p4):

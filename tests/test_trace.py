@@ -158,7 +158,7 @@ def test_chain_bounds_k0(tri):
 
 def test_chain_uses_power_of_two_when_expensive():
     H = build_hypergraph(30, [frozenset(range(30))])
-    triple = reduced_degeneracy(H, exact_limit=5)
+    triple = reduced_degeneracy(H)
     chain = degeneracy_chain_bounds(H, 20, triple, j_max=16)
     forms = {j: form for j, _, form in chain.entries}
     assert forms[16] == "power-of-two"

@@ -107,12 +107,6 @@ def test_bounds_p4_closed():
     assert max(b.ceiled for b in bounds) == 3 == dt_exact(H).value
 
 
-def test_bounds_safe_weakened_flag(tri):
-    envelope = reduced_degeneracy(tri, exact_limit=1)
-    bounds = dt_lower_bounds(tri, envelope)
-    assert all("safe-weakened" in b.flags for b in bounds)
-
-
 def test_bootstrap_never_exceeds_certified():
     rng = random.Random(3)
     for _ in range(60):
