@@ -16,7 +16,13 @@ from hypertrace import (
     restriction,
 )
 from hypertrace.errors import BudgetExceededError
-from oracles import brute_reduced, min_degree
+from oracles import (
+    brute_pseudo_peel,
+    brute_reduced,
+    brute_restriction_edges,
+    min_degree,
+    subsets,
+)
 
 
 @st.composite
@@ -113,6 +119,14 @@ def test_peels_match_oracles(H):
     assert peel_pseudo_degeneracy(H).value == pseudo_degeneracy_oracle(H)
 
 
+@settings(max_examples=60, deadline=None)
+@given(hypergraphs(max_n=7))
+def test_sandwich(H):
+    triple = reduced_degeneracy(H)
+    assert triple.pseudo <= triple.reduced <= triple.classic
+    assert triple.reduced == brute_reduced(H)
+
+
 @settings(max_examples=40, deadline=None)
 @given(hypergraphs(), st.data())
 def test_peel_anti_monotonicity(H, data):
@@ -166,6 +180,26 @@ def test_reduced_is_classic_on_random_hypergraphs():
         n = rng.randint(0, 9)
         edges = [frozenset(rng.sample(range(n), rng.randint(0, n))) for _ in range(rng.randint(0, 14))]
         _assert_reduced_is_classic(build_hypergraph(n, edges, allow_multi=True))
+
+
+def test_witness_seeded_exact_path_matches_plain_enumeration():
+    # The classic peel's residual set at its peak is a witness: pseudo-peeling
+    # that restriction attains the reduced value, and a plain enumeration of
+    # every restriction finds nothing larger.
+    rng = random.Random(5)
+    for _ in range(2):
+        n = 13
+        edges = [frozenset(rng.sample(range(n), rng.randint(1, 4))) for _ in range(20)]
+        H = build_hypergraph(n, edges, allow_multi=True)
+        triple = reduced_degeneracy(H)
+        peel = peel_degeneracy(H)
+        peak = peel.degree_sequence.index(peel.value)
+        witness = peel.order[peak:]
+        assert brute_pseudo_peel(witness, brute_restriction_edges(H, witness)) == triple.reduced
+        best = 0
+        for S in subsets(H.vertices):
+            best = max(best, brute_pseudo_peel(S, brute_restriction_edges(H, S)))
+        assert triple.reduced == best
 
 
 def test_reduced_is_classic_on_neighbourhood_hypergraphs():
