@@ -17,7 +17,6 @@ from .domination import (
     TreeBounds,
     TreeCertificates,
     domination_lower_bounds,
-    domination_summary,
     gamma_exact,
     tree_degeneracy_certificates,
     tree_lower_bounds,

@@ -24,6 +24,7 @@ from .io import (
     sniff_kind,
 )
 from .report import ALL_ANALYSES, Budgets, run_report, validate_report
+from .trace import SUBSET_BUDGET_DEFAULT
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,7 +45,7 @@ def _non_negative(text: str) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--budget-subsets", type=_non_negative, default=2_000_000,
+    p.add_argument("--budget-subsets", type=_non_negative, default=SUBSET_BUDGET_DEFAULT,
                    help="max subsets any exact enumeration may touch")
     p.add_argument("--allow-multi", action="store_true",
                    help="keep duplicate hypergraph edges instead of collapsing")
@@ -94,28 +95,23 @@ def _text_summary(doc: dict) -> str:
             return f"{value['value']} ({value['exactness']})"
         return str(value)
 
+    def sides(block):
+        """(label, entry) pairs: a graph's per-side blocks are nested by side."""
+        if "closed" in block:
+            return [(f" {side}", block[side]) for side in ("closed", "open")]
+        return [("", block)]
+
     results = doc["results"]
     if "degeneracy" in results:
-        deg = results["degeneracy"]
-        if "closed" in deg:
-            for side in ("closed", "open"):
-                t = deg[side]
-                lines.append(
-                    f"degeneracy {side}: pseudo={fmt(t['pseudo'])} reduced={fmt(t['reduced'])} classic={fmt(t['classic'])}"
-                )
-        else:
+        for side, t in sides(results["degeneracy"]):
             lines.append(
-                f"degeneracy: pseudo={fmt(deg['pseudo'])} reduced={fmt(deg['reduced'])} classic={fmt(deg['classic'])}"
+                f"degeneracy{side}: pseudo={fmt(t['pseudo'])} reduced={fmt(t['reduced'])} classic={fmt(t['classic'])}"
             )
     if "vc" in results:
         lines.append(f"vc: {fmt(results['vc']['dimension'])} witness={results['vc']['witness']}")
     if "dt" in results:
-        dt = results["dt"]
-        if "value" in dt:
-            lines.append(f"dt: {fmt(dt.get('value'))}")
-        else:
-            for side, entry in dt.items():
-                lines.append(f"dt {side}: {fmt(entry.get('value')) if 'value' in entry else entry.get('undefined', '-')}")
+        for side, entry in sides(results["dt"]):
+            lines.append(f"dt{side}: {fmt(entry['value']) if 'value' in entry else entry['undefined']}")
     if "domination" in results:
         for kind, entry in results["domination"].items():
             best = max((b["ceiled"] for b in entry["lower_bounds"]), default=0)

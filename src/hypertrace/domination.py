@@ -22,11 +22,10 @@ from math import ceil
 from .degeneracy import DegeneracyTriple, reduced_degeneracy
 from .errors import NotATreeError
 from .graphs import Graph, find_twins, neighborhood_hypergraph, tree_stats
-from .trace import trace_value
+from .trace import SUBSET_BUDGET_DEFAULT, trace_value
 from .transversal import BoundEntry, separating_set
 
 KINDS = ("LD", "ID", "OLD")
-GAMMA_SUBSET_BUDGET = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -37,13 +36,8 @@ class DominationReport:
     feasible: bool
     exact: int | None
     witness: tuple[int, ...] | None
-    bounds: tuple[BoundEntry, ...] = ()
     infeasible_reason: str | None = None
     infeasible_pair: tuple[int, int] | None = None
-
-    @property
-    def best_lower_bound(self) -> int:
-        return max((b.ceiled for b in self.bounds), default=0)
 
 
 def _feasibility(G: Graph, kind: str) -> tuple[bool, str | None, tuple[int, int] | None]:
@@ -61,7 +55,7 @@ def _feasibility(G: Graph, kind: str) -> tuple[bool, str | None, tuple[int, int]
     return True, None, None
 
 
-def gamma_exact(G: Graph, kind: str, subset_budget: int = GAMMA_SUBSET_BUDGET) -> DominationReport:
+def gamma_exact(G: Graph, kind: str, subset_budget: int = SUBSET_BUDGET_DEFAULT) -> DominationReport:
     """Minimum locating-domination parameter of the requested kind.
 
     Infeasible inputs (closed twins for ID, open twins or isolated
@@ -80,7 +74,7 @@ def gamma_exact(G: Graph, kind: str, subset_budget: int = GAMMA_SUBSET_BUDGET) -
         raise ValueError(f"kind must be one of {KINDS}")
     feasible, reason, pair = _feasibility(G, kind)
     if not feasible:
-        return DominationReport(kind, False, None, None, (), reason, pair)
+        return DominationReport(kind, False, None, None, reason, pair)
     H = neighborhood_hypergraph(G, closed=kind == "ID")
     combo = separating_set(H, subset_budget, "domination", selected_exempt=kind == "LD")
     return DominationReport(kind, True, len(combo), combo)
@@ -118,10 +112,6 @@ class KindBounds:
     caveats: tuple[str, ...] = ()
     infeasible_pair: tuple[int, int] | None = None
 
-    @property
-    def best(self) -> int:
-        return max((b.ceiled for b in self.entries), default=0)
-
 
 def domination_lower_bounds(
     G: Graph,
@@ -148,6 +138,11 @@ def domination_lower_bounds(
         to, fo = trace_value(Ho, j)
         return _ld_pair_bounds(n, j, (dc.reduced, tc, fc), (do.reduced, to, fo))
 
+    def transversal(t_j: int, delta: int, j: int) -> Fraction:
+        # (n - T_j) / delta + j.  Without vertices there is nothing to tell
+        # apart and delta is 0, as in ``dt_lower_bounds`` without edges.
+        return Fraction(n - t_j, delta) + j if n else Fraction(0)
+
     closed_twins = find_twins(G, closed=True)
     open_twins = find_twins(G, closed=False)
     for kind in KINDS:
@@ -168,13 +163,13 @@ def domination_lower_bounds(
             if kind == "ID":
                 t_j, form = trace_value(H, j)
                 batch.append(
-                    BoundEntry("id-transversal", j, Fraction(n - t_j, dc.reduced) + j, form, dc.reduced)
+                    BoundEntry("id-transversal", j, transversal(t_j, dc.reduced, j), form, dc.reduced)
                 )
             elif kind == "OLD":
                 t_open, form_o = trace_value(Ho, j)
                 t_closed, form_c = trace_value(H, j)
-                certified_value = Fraction(n - t_open, do.reduced) + j
-                literal_value = Fraction(n - t_closed, do.reduced) + j
+                certified_value = transversal(t_open, do.reduced, j)
+                literal_value = transversal(t_closed, do.reduced, j)
                 flags = ("formula-discrepancy",) if literal_value != certified_value else ()
                 value = min(certified_value, literal_value)
                 form = form_o if value == certified_value else form_c
@@ -262,22 +257,3 @@ def tree_degeneracy_certificates(G: Graph) -> TreeCertificates:
         CertificateItem("pseudo-open", 2, do.pseudo),
     )
     return TreeCertificates(items)
-
-
-def domination_summary(G: Graph, subset_budget: int = GAMMA_SUBSET_BUDGET, j_max: int = 8) -> dict[str, DominationReport]:
-    """Exact values and lower bounds for all three kinds in one pass."""
-    bounds = domination_lower_bounds(G, j_max=j_max)
-    out = {}
-    for kind in KINDS:
-        report = gamma_exact(G, kind, subset_budget=subset_budget)
-        kb = bounds[kind]
-        out[kind] = DominationReport(
-            kind,
-            report.feasible,
-            report.exact,
-            report.witness,
-            kb.entries,
-            report.infeasible_reason,
-            report.infeasible_pair,
-        )
-    return out

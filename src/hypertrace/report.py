@@ -30,18 +30,22 @@ from .errors import BudgetExceededError
 from .graphs import Graph, find_twins, neighborhood_hypergraph, tree_stats
 from .hypergraph import Hypergraph
 from .io import serialize_graph, serialize_hypergraph
-from .trace import trace_bound_profile
+from .trace import SUBSET_BUDGET_DEFAULT, trace_bound_profile
 from .transversal import BoundEntry, dt_exact, dt_lower_bounds
-from .vc import VcResult, is_shattered, vc_exact
+from .vc import is_shattered, vc_exact
 
 ALL_ANALYSES = ("degeneracy", "trace", "vc", "dt", "domination", "tree")
 
 
+# Largest j the bootstrapped trace, DT and domination bounds go up to.
+J_MAX = 8
+# The keys of a graph's ``trace_closed`` entries, a subset of a hypergraph's ``trace`` entries.
+GRAPH_TRACE_KEYS = ("k", "exact", "max_degree_bound", "reduced_times_k", "caveats")
+
+
 @dataclass(frozen=True)
 class Budgets:
-    subset_budget: int = 2_000_000
-    j_max: int = 8
-    trace_sizes: tuple[int, ...] | None = None
+    subset_budget: int = SUBSET_BUDGET_DEFAULT
 
 
 @dataclass
@@ -171,46 +175,63 @@ def _instance_block(instance, source: str | None, generator: dict | None) -> dic
     }
 
 
-def _trace_sizes(n: int, requested: tuple[int, ...] | None) -> list[int]:
-    if requested is not None:
-        return sorted({k for k in requested if 0 <= k <= n})
-    return sorted({k for k in (1, 2, n // 2, n) if 0 <= k <= n})
-
-
-def _bounds_below_exact(r: _Runner, name: str, entries, exact: int | None):
-    if exact is None:
-        return
+def _bounds_below_exact(r: _Runner, name: str, entries, exact: int):
     bad = [b for b in entries if b.ceiled > exact]
     r.check(name, not bad, f"exact={exact}")
 
 
-def _vc_section(H: Hypergraph, r: _Runner, budgets: Budgets) -> VcResult | None:
-    vc = r.stage("vc", lambda: vc_exact(H, node_budget=budgets.subset_budget))
-    if vc is not None:
-        r.report.results["vc"] = {
-            "dimension": exact_value(vc.dimension),
-            "witness": list(vc.witness),
-            "upper_bound_used": {"value": vc.upper_bound_used, "exactness": "bound"},
-            "nodes_enumerated": vc.nodes_enumerated,
+def _analyze(instance, r: _Runner, budgets: Budgets, analyses) -> None:
+    """The one analysis pipeline, over the sides of the instance.
+
+    A hypergraph has one side, ``""``.  A graph has two, its closed and
+    open neighborhood hypergraphs.  Degeneracy and DT run once per side,
+    trace and VC on the first side.  A per-side stage or check is named
+    ``name-side`` (just ``name`` on a hypergraph), and per-side result
+    blocks are nested by side only for graphs.  The parts that belong to
+    one kind of instance run as extras where their checks fall.
+    """
+    graph = isinstance(instance, Graph)
+    if graph:
+        sides = {
+            "closed": neighborhood_hypergraph(instance, closed=True),
+            "open": neighborhood_hypergraph(instance, closed=False),
         }
-        r.check("vc-within-degeneracy-cap", vc.dimension <= vc.upper_bound_used)
-    return vc
-
-
-def _analyze_hypergraph(H: Hypergraph, r: _Runner, budgets: Budgets, analyses) -> None:
+    else:
+        sides = {"": instance}
+    first = next(iter(sides))
+    H = sides[first]
     res = r.report.results
-    triple = r.stage("degeneracy", lambda: reduced_degeneracy(H))
+
+    def named(name: str, side: str) -> str:
+        return f"{name}-{side}" if side else name
+
+    def nested(block: dict) -> dict:
+        return block if graph else block[first]
+
+    if graph:
+        res["neighborhoods"] = {
+            "closed_twins": [list(p) for p in find_twins(instance, closed=True)],
+            "open_twins": [list(p) for p in find_twins(instance, closed=False)],
+        }
+    triples = {
+        side: r.stage(named("degeneracy", side), lambda h=h: reduced_degeneracy(h))
+        for side, h in sides.items()
+    }
     if "degeneracy" in analyses:
-        res["degeneracy"] = triple_dict(triple)
-        r.check("degeneracy-sandwich", triple.pseudo <= triple.reduced <= triple.classic)
+        res["degeneracy"] = nested({side: triple_dict(t) for side, t in triples.items()})
+        for side, t in triples.items():
+            r.check(named("degeneracy-sandwich", side), t.pseudo <= t.reduced <= t.classic)
+        if graph:
+            r.check("classic-closed-within-max-degree", triples["closed"].classic <= instance.max_degree + 1)
+            r.check("classic-open-within-max-degree", triples["open"].classic <= max(instance.max_degree, 0))
 
     if "trace" in analyses:
         profiles = []
-        for k in _trace_sizes(H.n, budgets.trace_sizes):
+        for k in sorted({s for s in (1, 2, H.n // 2, H.n) if s <= H.n}):
             profile = r.stage(
                 f"trace-k{k}",
                 lambda k=k: trace_bound_profile(
-                    H, k, triple, j_max=budgets.j_max, subset_budget=budgets.subset_budget
+                    H, k, triples[first], j_max=J_MAX, subset_budget=budgets.subset_budget
                 ),
             )
             if profile is None:
@@ -234,7 +255,7 @@ def _analyze_hypergraph(H: Hypergraph, r: _Runner, budgets: Budgets, analyses) -
                 else None,
                 "caveats": list(profile.caveats),
             }
-            profiles.append(entry)
+            profiles.append({key: entry[key] for key in GRAPH_TRACE_KEYS} if graph else entry)
             if profile.exact is not None:
                 ok = (
                     profile.exact <= profile.max_degree
@@ -242,197 +263,145 @@ def _analyze_hypergraph(H: Hypergraph, r: _Runner, budgets: Budgets, analyses) -
                     and all(profile.exact <= v for _, v, _ in profile.chain.entries)
                 )
                 r.check(f"trace-upper-bounds-k{k}", ok)
-                if profile.lower is not None and profile.exact_with_empty is not None:
+                if not graph and profile.lower is not None and profile.exact_with_empty is not None:
                     r.check(f"trace-lower-bound-k{k}", profile.lower <= profile.exact_with_empty)
-        res["trace"] = profiles
+        res["trace_closed" if graph else "trace"] = profiles
 
     if "vc" in analyses:
-        vc = _vc_section(H, r, budgets)
+        vc = r.stage("vc", lambda: vc_exact(H, node_budget=budgets.subset_budget))
         if vc is not None:
-            distinct = sum(1 for e in H.distinct_edges if e)
-            passed = vc.dimension == 0 if distinct == 0 else (1 << vc.dimension) <= distinct
-            r.check("vc-within-log-edges", passed)
-
-    if "dt" in analyses:
-        if not H.is_simple:
-            res["dt"] = {"undefined": "duplicate edges"}
-        elif any(not e for e in H.edges):
-            res["dt"] = {"undefined": "empty edge"}
-        else:
-            bounds = r.stage("dt-bounds", lambda: dt_lower_bounds(H, triple, j_max=budgets.j_max))
-            dt = r.stage(
-                "dt", lambda: dt_exact(H, subset_budget=budgets.subset_budget)
-            )
-            res["dt"] = {
-                "value": exact_value(dt.value) if dt is not None else None,
-                "witness": list(dt.witness) if dt is not None else None,
-                "lower_bounds": [bound_entry_dict(b) for b in bounds],
+            res["vc"] = {
+                "dimension": exact_value(vc.dimension),
+                "witness": list(vc.witness),
+                "upper_bound_used": {"value": vc.upper_bound_used, "exactness": "bound"},
+                "nodes_enumerated": vc.nodes_enumerated,
             }
-            if dt is not None:
-                _bounds_below_exact(r, "dt-bounds-below-exact", bounds, dt.value)
-
-
-def _analyze_graph(G: Graph, r: _Runner, budgets: Budgets, analyses) -> None:
-    res = r.report.results
-    H = neighborhood_hypergraph(G, closed=True)
-    Ho = neighborhood_hypergraph(G, closed=False)
-    res["neighborhoods"] = {
-        "closed_twins": [list(p) for p in find_twins(G, closed=True)],
-        "open_twins": [list(p) for p in find_twins(G, closed=False)],
-    }
-    dc = r.stage("degeneracy-closed", lambda: reduced_degeneracy(H))
-    do = r.stage("degeneracy-open", lambda: reduced_degeneracy(Ho))
-    if "degeneracy" in analyses:
-        res["degeneracy"] = {"closed": triple_dict(dc), "open": triple_dict(do)}
-        for name, t in (("closed", dc), ("open", do)):
-            r.check(f"degeneracy-sandwich-{name}", t.pseudo <= t.reduced <= t.classic)
-        r.check("classic-closed-within-max-degree", dc.classic <= G.max_degree + 1)
-        r.check("classic-open-within-max-degree", do.classic <= max(G.max_degree, 0))
-
-    if "trace" in analyses:
-        profiles = []
-        for k in _trace_sizes(G.n, budgets.trace_sizes):
-            profile = r.stage(
-                f"trace-k{k}",
-                lambda k=k: trace_bound_profile(
-                    H, k, dc, j_max=budgets.j_max, subset_budget=budgets.subset_budget
-                ),
-            )
-            if profile is None:
-                continue
-            profiles.append(
-                {
-                    "k": k,
-                    "exact": exact_value(profile.exact) if profile.exact is not None else None,
-                    "max_degree_bound": {"value": profile.max_degree, "exactness": "bound"},
-                    "reduced_times_k": {"value": profile.chain.reduced_times_k, "exactness": "bound"},
-                    "caveats": list(profile.caveats),
-                }
-            )
-            if profile.exact is not None:
-                r.check(
-                    f"trace-upper-bounds-k{k}",
-                    profile.exact <= profile.max_degree
-                    and profile.exact <= profile.chain.reduced_times_k,
+            r.check("vc-within-degeneracy-cap", vc.dimension <= vc.upper_bound_used)
+            if not graph:
+                distinct = sum(1 for e in H.distinct_edges if e)
+                passed = vc.dimension == 0 if distinct == 0 else (1 << vc.dimension) <= distinct
+                r.check("vc-within-log-edges", passed)
+            elif instance.n <= 12:
+                # Against the definition, unpruned: no (d+1)-set of any vertices shatters.
+                passed = (not vc.witness or is_shattered(H, vc.witness)) and not any(
+                    is_shattered(H, c) for c in combinations(H.vertex_list, vc.dimension + 1)
                 )
-        res["trace_closed"] = profiles
+                r.check("vc-neighborhood-matches-general", passed)
 
-    if "vc" in analyses:
-        vc = _vc_section(H, r, budgets)
-        if vc is not None and G.n <= 12:
-            # Against the definition, unpruned: no (d+1)-set of any vertices shatters.
-            passed = (not vc.witness or is_shattered(H, vc.witness)) and not any(
-                is_shattered(H, c) for c in combinations(H.vertex_list, vc.dimension + 1)
-            )
-            r.check("vc-neighborhood-matches-general", passed)
-
-    dt_closed_value = None
+    dts = {}
     if "dt" in analyses:
+        twins, isolated = (" (twins)", " (isolated vertex)") if graph else ("", "")
         block = {}
-        for label, hyper, triple in (("closed", H, dc), ("open", Ho, do)):
-            if not hyper.is_simple:
-                block[label] = {"undefined": "duplicate edges (twins)"}
+        for side, h in sides.items():
+            if not h.is_simple:
+                block[side] = {"undefined": "duplicate edges" + twins}
                 continue
-            if any(not e for e in hyper.edges):
-                block[label] = {"undefined": "empty edge (isolated vertex)"}
+            if any(not e for e in h.edges):
+                block[side] = {"undefined": "empty edge" + isolated}
                 continue
+            name = named("dt", side)
             bounds = r.stage(
-                f"dt-{label}-bounds",
-                lambda h=hyper, t=triple: dt_lower_bounds(h, t, j_max=budgets.j_max),
+                f"{name}-bounds",
+                lambda h=h, t=triples[side]: dt_lower_bounds(h, t, j_max=J_MAX),
             )
-            dt = r.stage(
-                f"dt-{label}", lambda h=hyper: dt_exact(h, subset_budget=budgets.subset_budget)
-            )
-            block[label] = {
+            dt = r.stage(name, lambda h=h: dt_exact(h, subset_budget=budgets.subset_budget))
+            block[side] = {
                 "value": exact_value(dt.value) if dt is not None else None,
                 "witness": list(dt.witness) if dt is not None else None,
                 "lower_bounds": [bound_entry_dict(b) for b in bounds],
             }
             if dt is not None:
-                if label == "closed":
-                    dt_closed_value = dt.value
-                _bounds_below_exact(r, f"dt-{label}-bounds-below-exact", bounds, dt.value)
-        res["dt"] = block
+                dts[side] = dt.value
+                _bounds_below_exact(r, f"{name}-bounds-below-exact", bounds, dt.value)
+        res["dt"] = nested(block)
 
-    if "domination" in analyses:
-        kind_bounds = r.stage(
-            "domination-bounds",
-            lambda: domination_lower_bounds(
-                G, j_max=budgets.j_max, closed_degeneracy=dc, open_degeneracy=do
-            ),
+    if graph and "domination" in analyses:
+        _domination(instance, r, budgets, triples, dts.get("closed"))
+    if graph and "tree" in analyses and instance.is_tree:
+        _tree(instance, r)
+
+
+def _domination(G: Graph, r: _Runner, budgets: Budgets, triples, dt_closed: int | None) -> None:
+    kind_bounds = r.stage(
+        "domination-bounds",
+        lambda: domination_lower_bounds(
+            G, j_max=J_MAX, closed_degeneracy=triples["closed"], open_degeneracy=triples["open"]
+        ),
+    )
+    block = {}
+    exacts: dict[str, int | None] = {}
+    for kind in KINDS:
+        report = r.stage(
+            f"gamma-{kind}", lambda k=kind: gamma_exact(G, k, subset_budget=budgets.subset_budget)
         )
-        block = {}
-        exacts: dict[str, int | None] = {}
-        for kind in KINDS:
-            report = r.stage(
-                f"gamma-{kind}", lambda k=kind: gamma_exact(G, k, subset_budget=budgets.subset_budget)
-            )
-            kb = kind_bounds[kind] if kind_bounds else None
-            entry = {
-                "feasible": report.feasible if report is not None else None,
-                "exact": exact_value(report.exact)
-                if report is not None and report.exact is not None
-                else None,
-                "witness": list(report.witness)
-                if report is not None and report.witness is not None
-                else None,
-                "infeasible_reason": report.infeasible_reason if report is not None else None,
-                "infeasible_pair": list(report.infeasible_pair)
-                if report is not None and report.infeasible_pair
-                else None,
-                "lower_bounds": [bound_entry_dict(b) for b in kb.entries] if kb else [],
-                "caveats": list(kb.caveats) if kb else [],
-            }
-            block[kind] = entry
-            exacts[kind] = report.exact if report is not None else None
-            if report is not None and report.exact is not None and kb is not None:
-                _bounds_below_exact(r, f"gamma-{kind}-bounds-below-exact", kb.entries, report.exact)
-        res["domination"] = block
-        if exacts.get("LD") is not None:
-            if exacts.get("ID") is not None:
-                r.check("gamma-id-at-least-ld", exacts["ID"] >= exacts["LD"])
-            if exacts.get("OLD") is not None:
-                r.check("gamma-old-at-least-ld", exacts["OLD"] >= exacts["LD"])
-        if exacts.get("ID") is not None and dt_closed_value is not None:
-            r.check("id-equals-dt-closed", exacts["ID"] == dt_closed_value)
-
-    if "tree" in analyses and G.is_tree:
-        stats = tree_stats(G)
-        tree_block = {
-            "stats": {
-                "leaves": list(stats.leaves),
-                "supports": list(stats.supports),
-                "canonical_supports": list(stats.canonical_supports),
-            }
+        kb = kind_bounds[kind] if kind_bounds else None
+        entry = {
+            "feasible": report.feasible if report is not None else None,
+            "exact": exact_value(report.exact)
+            if report is not None and report.exact is not None
+            else None,
+            "witness": list(report.witness)
+            if report is not None and report.witness is not None
+            else None,
+            "infeasible_reason": report.infeasible_reason if report is not None else None,
+            "infeasible_pair": list(report.infeasible_pair)
+            if report is not None and report.infeasible_pair
+            else None,
+            "lower_bounds": [bound_entry_dict(b) for b in kb.entries] if kb else [],
+            "caveats": list(kb.caveats) if kb else [],
         }
-        if G.n >= 2:
-            certs = tree_degeneracy_certificates(G)
-            tree_block["certificates"] = [
-                {
-                    "name": item.name,
-                    "limit": item.limit,
-                    "low": item.value,
-                    "high": item.value,
-                    "exactness": "exact",
-                    "passed": item.passed,
-                }
-                for item in certs.items
-            ]
-            r.check("tree-degeneracy-certificates", certs.all_passed)
-        if G.n >= 4:
-            tb = tree_lower_bounds(G)
-            tree_block["bounds"] = {
-                "LD": {"value": tb.ld, "exactness": "bound"},
-                "ID": {"value": tb.id, "exactness": "bound"} if tb.id is not None else None,
-                "OLD": {"value": tb.old, "exactness": "bound"},
-                "id_hypothesis_holds": tb.id_hypothesis_holds,
+        block[kind] = entry
+        exacts[kind] = report.exact if report is not None else None
+        if report is not None and report.exact is not None and kb is not None:
+            _bounds_below_exact(r, f"gamma-{kind}-bounds-below-exact", kb.entries, report.exact)
+    r.report.results["domination"] = block
+    if exacts.get("LD") is not None:
+        if exacts.get("ID") is not None:
+            r.check("gamma-id-at-least-ld", exacts["ID"] >= exacts["LD"])
+        if exacts.get("OLD") is not None:
+            r.check("gamma-old-at-least-ld", exacts["OLD"] >= exacts["LD"])
+    if exacts.get("ID") is not None and dt_closed is not None:
+        r.check("id-equals-dt-closed", exacts["ID"] == dt_closed)
+
+
+def _tree(G: Graph, r: _Runner) -> None:
+    res = r.report.results
+    stats = tree_stats(G)
+    tree_block = {
+        "stats": {
+            "leaves": list(stats.leaves),
+            "supports": list(stats.supports),
+            "canonical_supports": list(stats.canonical_supports),
+        }
+    }
+    if G.n >= 2:
+        certs = tree_degeneracy_certificates(G)
+        tree_block["certificates"] = [
+            {
+                "name": item.name,
+                "limit": item.limit,
+                "low": item.value,
+                "high": item.value,
+                "exactness": "exact",
+                "passed": item.passed,
             }
-            dom = res.get("domination", {})
-            for kind, bound in (("LD", tb.ld), ("ID", tb.id), ("OLD", tb.old)):
-                exact = (dom.get(kind) or {}).get("exact")
-                if bound is not None and exact is not None:
-                    r.check(f"tree-bound-{kind}-below-exact", bound <= exact["value"])
-        res["tree"] = tree_block
+            for item in certs.items
+        ]
+        r.check("tree-degeneracy-certificates", certs.all_passed)
+    if G.n >= 4:
+        tb = tree_lower_bounds(G)
+        tree_block["bounds"] = {
+            "LD": {"value": tb.ld, "exactness": "bound"},
+            "ID": {"value": tb.id, "exactness": "bound"} if tb.id is not None else None,
+            "OLD": {"value": tb.old, "exactness": "bound"},
+            "id_hypothesis_holds": tb.id_hypothesis_holds,
+        }
+        dom = res.get("domination", {})
+        for kind, bound in (("LD", tb.ld), ("ID", tb.id), ("OLD", tb.old)):
+            exact = (dom.get(kind) or {}).get("exact")
+            if bound is not None and exact is not None:
+                r.check(f"tree-bound-{kind}-below-exact", bound <= exact["value"])
+    res["tree"] = tree_block
 
 
 def run_report(
@@ -453,12 +422,8 @@ def run_report(
     unknown = set(selected) - set(ALL_ANALYSES)
     if unknown:
         raise ValueError(f"unknown analyses: {sorted(unknown)}")
-    report = AnalysisReport(instance=_instance_block(instance, source, generator))
-    runner = _Runner(report)
-    if isinstance(instance, Graph):
-        _analyze_graph(instance, runner, budgets, selected)
-    elif isinstance(instance, Hypergraph):
-        _analyze_hypergraph(instance, runner, budgets, selected)
-    else:
+    if not isinstance(instance, (Graph, Hypergraph)):
         raise TypeError("instance must be a Graph or a Hypergraph")
+    report = AnalysisReport(instance=_instance_block(instance, source, generator))
+    _analyze(instance, _Runner(report), budgets, selected)
     return report

@@ -1,10 +1,11 @@
 """Exact trace function and the upper/lower bounds that frame it.
 
 The trace function at size k is the largest number of distinct nonempty
-traces any k-vertex subset can carry.  Four estimates accompany the exact
-enumeration: the binomial-sum bound driven by VC dimension, the
-max-degree bound, a chain of bounds driven by the degeneracy variants,
-and the edge-count lower bound min(|E|, k+1).
+traces any k-vertex subset can carry.  Three estimates accompany the exact
+enumeration in a bound profile: the max-degree bound, a chain of bounds
+driven by the degeneracy variants, and the edge-count lower bound
+min(|E|, k+1).  The binomial-sum bound driven by VC dimension is
+``sauer_shelah_bound``.
 """
 
 from __future__ import annotations
@@ -226,7 +227,6 @@ class BoundProfile:
     exact: int | None
     exact_with_empty: int | None
     witness: tuple[int, ...] | None
-    sauer_shelah: int | None
     max_degree: int
     chain: ChainBounds
     lower: int | None
@@ -237,7 +237,6 @@ def trace_bound_profile(
     H: Hypergraph,
     k: int,
     degeneracy: DegeneracyTriple,
-    vc_dimension: int | None = None,
     j_max: int | None = None,
     subset_budget: int = SUBSET_BUDGET_DEFAULT,
 ) -> BoundProfile:
@@ -254,7 +253,6 @@ def trace_bound_profile(
         exact_all, _ = trace_function_exact(H, k, include_empty=True, subset_budget=subset_budget)
     except BudgetExceededError:
         caveats.append("exact trace value skipped (budget)")
-    ss = sauer_shelah_bound(vc_dimension, k) if vc_dimension is not None else None
     lower = None
     if k >= 1:
         try:
@@ -266,7 +264,6 @@ def trace_bound_profile(
         exact=exact,
         exact_with_empty=exact_all,
         witness=witness,
-        sauer_shelah=ss,
         max_degree=max_degree_bound(H, k),
         chain=degeneracy_chain_bounds(H, k, degeneracy, j_max=j_max),
         lower=lower,

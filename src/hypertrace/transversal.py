@@ -40,15 +40,10 @@ class BoundEntry:
 
 @dataclass(frozen=True)
 class DtResult:
-    """Minimum distinguishing transversal with any bounds computed for it."""
+    """Minimum distinguishing transversal and its lexicographically first witness."""
 
     value: int
     witness: tuple[int, ...]
-    lower_bounds: tuple[BoundEntry, ...] = ()
-
-    @property
-    def best_lower_bound(self) -> int:
-        return max((b.ceiled for b in self.lower_bounds), default=0)
 
 
 def _require_simple(H: Hypergraph) -> None:
@@ -197,12 +192,7 @@ def is_distinguishing_transversal(H: Hypergraph, subset) -> bool:
     return _separates(H.edge_masks, smask, selected_exempt=False)
 
 
-def dt_exact(
-    H: Hypergraph,
-    degeneracy: DegeneracyTriple | None = None,
-    j_max: int = 8,
-    subset_budget: int = SUBSET_BUDGET_DEFAULT,
-) -> DtResult:
+def dt_exact(H: Hypergraph, subset_budget: int = SUBSET_BUDGET_DEFAULT) -> DtResult:
     """Minimum-size distinguishing transversal by size-ascending search.
 
     The whole vertex set always works for a simple hypergraph without empty
@@ -211,19 +201,15 @@ def dt_exact(
     (``gamma_exact`` for ID or OLD on a cached neighborhood hypergraph)
     is answered without searching again.  ``subset_budget`` counts
     candidate sets in the plain size-ascending order, pruned ones
-    included.  When a degeneracy triple is supplied the certified lower
-    bounds are attached to the result.
+    included.
     """
     _require_simple(H)
     if any(not e for e in H.edges):
         raise ValueError("an empty edge admits no transversal")
-    bounds: tuple[BoundEntry, ...] = ()
-    if degeneracy is not None:
-        bounds = tuple(dt_lower_bounds(H, degeneracy, j_max=j_max))
     if H.m == 0:
-        return DtResult(0, (), bounds)
+        return DtResult(0, ())
     combo = separating_set(H, subset_budget, "transversal")
-    return DtResult(len(combo), tuple(H.vertex_list[p] for p in combo), bounds)
+    return DtResult(len(combo), tuple(H.vertex_list[p] for p in combo))
 
 
 def dt_lower_bounds(

@@ -18,9 +18,9 @@ from itertools import combinations
 from .degeneracy import peel_degeneracy
 from .errors import BudgetExceededError
 from .hypergraph import Hypergraph
+from .trace import SUBSET_BUDGET_DEFAULT
 
 SHATTER_SIZE_CAP = 30
-NODE_BUDGET_DEFAULT = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ def _edge_subsets(H: Hypergraph, size: int):
             yield combo
 
 
-def vc_exact(H: Hypergraph, node_budget: int = NODE_BUDGET_DEFAULT) -> VcResult:
+def vc_exact(H: Hypergraph, node_budget: int = SUBSET_BUDGET_DEFAULT) -> VcResult:
     """Exact VC dimension by size-ascending search under the degeneracy cap.
 
     Subset sizes are tried in ascending order; once no set of a size

@@ -109,6 +109,14 @@ def test_analyze_hypergraph_file(capsys, tmp_path):
     assert doc["results"]["dt"]["value"]["value"] == 2
 
 
+def test_text_summary_undefined_hypergraph_dt(capsys, tmp_path):
+    f = tmp_path / "dup.hgraph"
+    f.write_text("p hgraph 2 2\n0\n0\n")
+    code, out, _ = run_cli(capsys, "analyze", str(f), "--allow-multi", "--text")
+    assert code == 0
+    assert "dt: duplicate edges\n" in out
+
+
 def test_bench_csv(capsys):
     code, out, _ = run_cli(capsys, "bench", "--sizes", "500,2000", "--seed", "1")
     assert code == 0

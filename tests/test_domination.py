@@ -215,15 +215,6 @@ def test_certificates_reject_non_tree():
         tree_degeneracy_certificates(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]))
 
 
-def test_domination_summary_combines_exact_and_bounds(p4):
-    from hypertrace import domination_summary
-
-    summary = domination_summary(p4)
-    assert summary["LD"].exact == 2
-    assert summary["ID"].bounds
-    assert summary["ID"].best_lower_bound <= summary["ID"].exact
-
-
 def test_canonical_supports_are_supports():
     rng = random.Random(3)
     for _ in range(20):

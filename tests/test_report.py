@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hypertrace import Budgets, build_hypergraph, run_report, validate_report
+from hypertrace import Budgets, Graph, build_hypergraph, run_report, validate_report
 from hypertrace.generate import random_hypergraph, random_tree
 
 
@@ -50,6 +50,30 @@ def test_budget_skips_marked(p4):
     assert any(s.startswith("gamma-") or s.startswith("dt") or s == "vc" for s in stages)
     # closed-form bounds survive the skip
     assert doc["results"]["domination"]["LD"]["lower_bounds"]
+
+
+def test_empty_graph_report():
+    report = run_report(Graph.from_edges(0, []))
+    doc = report.to_dict()
+    validate_report(doc)
+    assert report.exit_code == 0
+    assert doc["checks"] and all(c["passed"] for c in doc["checks"])
+    for entry in doc["results"]["domination"].values():
+        assert entry["exact"]["value"] == 0
+        assert entry["lower_bounds"] and all(b["ceiled"] <= 0 for b in entry["lower_bounds"])
+
+
+def test_stage_names(p4):
+    # The golden digests omit timings, so they cannot see a renamed stage.
+    assert sorted(run_report(p4).timings) == [
+        "degeneracy-closed", "degeneracy-open", "domination-bounds",
+        "dt-closed", "dt-closed-bounds", "dt-open", "dt-open-bounds",
+        "gamma-ID", "gamma-LD", "gamma-OLD", "trace-k1", "trace-k2", "trace-k4", "vc",
+    ]
+    h14 = random_hypergraph(14, 42, max_edge_size=6, seed=3)
+    assert sorted(run_report(h14).timings) == [
+        "degeneracy", "dt", "dt-bounds", "trace-k1", "trace-k14", "trace-k2", "trace-k7", "vc",
+    ]
 
 
 def test_subset_of_analyses(tri):

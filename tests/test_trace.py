@@ -230,10 +230,9 @@ def test_approximation_factor_claim():
 
 def test_profile_assembly(tri):
     triple = reduced_degeneracy(tri)
-    profile = trace_bound_profile(tri, 2, triple, vc_dimension=1)
+    profile = trace_bound_profile(tri, 2, triple)
     assert profile.exact == 3
     assert profile.exact_with_empty == 3
-    assert profile.sauer_shelah == 3
     assert profile.lower == 3
     assert profile.max_degree == 4
     assert not profile.caveats

@@ -153,12 +153,6 @@ def test_witness_is_minimum():
             assert not is_distinguishing_transversal(H, smaller)
 
 
-def test_bounds_attached_to_result(tri):
-    result = dt_exact(tri, degeneracy=reduced_degeneracy(tri))
-    assert result.lower_bounds
-    assert result.best_lower_bound == 2
-
-
 def _plain_outcome(rows, n, budget, selected_exempt):
     try:
         return plain_separating_set(rows, n, budget, selected_exempt)
