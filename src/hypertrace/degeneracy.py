@@ -32,6 +32,14 @@ from .errors import BudgetExceededError
 from .hypergraph import Hypergraph
 
 ORACLE_VERTEX_CAP = 20
+# The classic peel hashes a trace as the XOR of per-vertex random keys of
+# this width, drawn from one shared source.  Keys of one 30-bit digit keep
+# the hash arithmetic on single-digit ints; the collisions this allows are
+# chained and resolved exactly.  A class merges only after an exact test, so
+# peel results never depend on the keys, and a call need not seed its own
+# generator.
+HASH_KEY_BITS = 30
+_KEY_SOURCE = random.Random(0x7E37)
 
 
 @dataclass(frozen=True)
@@ -63,62 +71,63 @@ class DegeneracyTriple:
         return self.classic
 
 
+def _chain_match(
+    chain: list[int], cid: int, live: list[int], edges: tuple[frozenset[int], ...], removed: bytearray
+) -> bool:
+    """Whether a class in a hash-collision chain carries the trace of ``cid``.
+
+    Two classes carry the same trace when their live counts are equal and
+    every vertex of one original edge outside the other is removed.  A class
+    not yet re-keyed for the vertex just removed still counts it, so it never
+    passes.  The peel loop writes the same test out for a single occupant,
+    since a call per hash hit costs a measurable share on small hypergraphs.
+    """
+    c, e = live[cid], edges[cid]
+    return any(live[o] == c and all(map(removed.__getitem__, e - edges[o])) for o in chain)
+
+
 def peel_degeneracy(H: Hypergraph) -> PeelResult:
     """Classic degeneracy by peeling with trace deduplication.
 
     At each step the residual hypergraph is the restriction to the remaining
     vertices.  Edges are grouped into classes of equal current trace; a
-    vertex's degree is the number of classes containing it.  Removing vertex
-    x re-keys only the classes whose trace contains x, merging any class
-    whose shrunken trace collides with an existing one.  Ties on minimum
-    degree break toward the lowest vertex id, which makes peel orders
-    reproducible.
+    vertex's degree is the number of classes containing it.  A class's
+    current trace is its original edge minus the removed vertices, so a
+    class keeps only a live count and an XOR hash of that trace.  Removing
+    vertex x re-keys only the classes whose trace contains x, merging any
+    class whose shrunken trace collides with an existing one.  Ties on
+    minimum degree break toward the lowest vertex id, which makes peel
+    orders reproducible.
     """
     verts = H.vertex_list
     n = len(verts)
     if n == 0:
         return PeelResult((), (), 0)
 
-    # Dense ids need no position mapping; the distinct edges serve directly.
-    dense = verts[-1] == n - 1
-    pos = None if dense else H.vertex_pos
-    rng = random.Random(0x7E37)
-    key = [rng.getrandbits(62) for _ in range(n)]
+    edges, edge_ids = H.incidence
+    draw = _KEY_SOURCE.getrandbits
+    key = [draw(HASH_KEY_BITS) for _ in range(n)]
 
-    # Classes of equal current trace, deduplicated through incremental XOR
-    # hashing; a hash hit is confirmed by full set equality before merging.
-    # A bucket value is a bare class id, escalated to a list on collision.
-    # A dead class is marked by trace[cid] is None.
+    # A class is alive while live[cid] > 0.  Buckets map a trace hash to a
+    # bare class id, escalated to a list on a collision of distinct traces.
+    live = list(map(len, edges))
     getkey = key.__getitem__
-    if dense:
-        trace: list[set[int] | None] = [set(e) for e in H.distinct_edges if e]
-    else:
-        trace = [{pos[v] for v in e} for e in H.distinct_edges if e]
-    thash = [reduce(xor, map(getkey, t), 0) for t in trace]
+    thash = [reduce(xor, map(getkey, e)) for e in edges]
     buckets: dict[int, int | list[int]] = {}
-    member: list[list[int]] = [[] for _ in range(n)]
-    for cid, t in enumerate(trace):
-        h = thash[cid]
+    for cid, h in enumerate(thash):
         slot = buckets.setdefault(h, cid)
         if slot != cid:
-            # 62-bit hash collision between distinct initial traces: chain.
+            # Hash collision between distinct initial traces: chain.
             if type(slot) is list:
                 slot.append(cid)
             else:
                 buckets[h] = [slot, cid]
-        for p in t:
-            member[p].append(cid)
-    deg = [len(lst) for lst in member]
-
-    def matches(slot, t: set[int]) -> bool:
-        if type(slot) is list:
-            return any(trace[c] == t for c in slot)
-        return trace[slot] == t
+    deg = list(map(len, edge_ids))
+    removed = bytearray(n)
 
     # Heap entries are deg * n + vertex: min degree first, lowest id on ties.
     heap = [d * n + p for p, d in enumerate(deg)]
     heapify(heap)
-    removed = bytearray(n)
     order: list[int] = []
     seq: list[int] = []
     push = heappush
@@ -132,9 +141,9 @@ def peel_degeneracy(H: Hypergraph) -> PeelResult:
         order.append(verts[v])
         seq.append(d)
         kv = key[v]
-        for cid in member[v]:
-            t = trace[cid]
-            if t is None:
+        for cid in edge_ids[v]:
+            c = live[cid]
+            if not c:
                 continue
             oldh = thash[cid]
             slot = buckets.pop(oldh)
@@ -142,28 +151,37 @@ def peel_degeneracy(H: Hypergraph) -> PeelResult:
                 slot.remove(cid)
                 if slot:
                     buckets[oldh] = slot[0] if len(slot) == 1 else slot
-            t.discard(v)
-            if not t:
-                trace[cid] = None
+            live[cid] = c - 1
+            if c == 1:
                 continue
             newh = oldh ^ kv
             occupant = buckets.setdefault(newh, cid)
             if occupant == cid:
                 thash[cid] = newh
-            elif matches(occupant, t):
-                # Two classes now carry the same trace: the survivors lose one.
-                trace[cid] = None
-                for u in t:
-                    du = deg[u] = deg[u] - 1
-                    push(heap, du * n + u)
+                continue
+            if type(occupant) is list:
+                same = _chain_match(occupant, cid, live, edges, removed)
             else:
-                # Distinct traces sharing a 62-bit hash: chain them.
+                same = live[occupant] == c - 1
+                if same:
+                    for u in edges[cid] - edges[occupant]:
+                        if not removed[u]:
+                            same = False
+                            break
+            if same:
+                # Two classes now carry the same trace: the survivors lose one.
+                live[cid] = 0
+                for u in edges[cid]:
+                    if not removed[u]:
+                        du = deg[u] = deg[u] - 1
+                        push(heap, du * n + u)
+            else:
+                # Distinct traces sharing a hash: chain them.
                 thash[cid] = newh
                 if type(occupant) is list:
                     occupant.append(cid)
                 else:
                     buckets[newh] = [occupant, cid]
-        member[v] = []
     return PeelResult(tuple(order), tuple(seq), max(seq, default=0))
 
 
@@ -178,16 +196,8 @@ def peel_pseudo_degeneracy(H: Hypergraph) -> PeelResult:
     if n == 0:
         return PeelResult((), (), 0)
 
-    if verts[-1] == n - 1:
-        edges = [list(e) for e in H.distinct_edges]
-    else:
-        pos = H.vertex_pos
-        edges = [[pos[v] for v in e] for e in H.distinct_edges]
-    inc: list[list[int]] = [[] for _ in range(n)]
-    for i, e in enumerate(edges):
-        for p in e:
-            inc[p].append(i)
-    deg = [len(lst) for lst in inc]
+    edges, edge_ids = H.incidence
+    deg = list(map(len, edge_ids))
     alive = bytearray(b"\x01") * len(edges)
 
     heap = [d * n + p for p, d in enumerate(deg)]
@@ -203,7 +213,7 @@ def peel_pseudo_degeneracy(H: Hypergraph) -> PeelResult:
         removed[v] = 1
         order.append(verts[v])
         seq.append(d)
-        for i in inc[v]:
+        for i in edge_ids[v]:
             if alive[i]:
                 alive[i] = 0
                 for u in edges[i]:

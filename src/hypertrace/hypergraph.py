@@ -3,9 +3,9 @@
 A hypergraph is a finite vertex set together with an ordered family of
 edges, each edge a subset of the vertices.  Values are immutable; every
 operation returns a new value, so instances are safe to share between
-threads.  Derived data (masks, the trace-function memo) is cached on the
-value; it is a deterministic function of the value, so a race between
-threads can only compute an entry twice, never change it.
+threads.  Derived data (the incidence, masks, the trace-function memo) is
+cached on the value; it is a deterministic function of the value, so a race
+between threads can only compute an entry twice, never change it.
 """
 
 from __future__ import annotations
@@ -14,6 +14,15 @@ import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
+
+
+class Incidence(NamedTuple):
+    """Distinct nonempty edges over positions in ``vertex_list``, in
+    first-occurrence order, with the ids of the edges at each position."""
+
+    edges: tuple[frozenset[int], ...]
+    edge_ids: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -73,7 +82,7 @@ class Hypergraph:
         """Edges as bit vectors over positions in ``vertex_list``.
 
         Only intended for desk-scale enumeration; large instances should
-        stay on the incidence-list code paths.
+        read the per-vertex edge ids of ``incidence`` instead.
         """
         pos = self.vertex_pos
         masks = []
@@ -83,6 +92,27 @@ class Hypergraph:
                 m |= 1 << pos[v]
             masks.append(m)
         return tuple(masks)
+
+    @cached_property
+    def incidence(self) -> Incidence:
+        """The one incidence structure of this value, shared by both peels
+        and ``max_degree_bound``.
+
+        On the dense range [0, n) a position is its vertex id, so the edges
+        are the distinct nonempty edges themselves, not copies.
+        """
+        verts = self.vertex_list
+        n = len(verts)
+        if n and verts[-1] == n - 1:
+            edges = tuple(filter(None, self.distinct_edges))
+        else:
+            getpos = self.vertex_pos.__getitem__
+            edges = tuple(frozenset(map(getpos, e)) for e in self.distinct_edges if e)
+        lists: list[list[int]] = [[] for _ in range(n)]
+        for i, e in enumerate(edges):
+            for p in e:
+                lists[p].append(i)
+        return Incidence(edges, tuple(map(tuple, lists)))
 
     @cached_property
     def distinct_masks(self) -> tuple[int, ...]:

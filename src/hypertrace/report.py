@@ -29,7 +29,7 @@ from .domination import (
 from .errors import BudgetExceededError
 from .graphs import Graph, find_twins, neighborhood_hypergraph, tree_stats
 from .hypergraph import Hypergraph
-from .io import serialize_graph, serialize_hypergraph
+from .io import serialize_graph
 from .trace import SUBSET_BUDGET_DEFAULT, trace_bound_profile
 from .transversal import BoundEntry, dt_exact, dt_lower_bounds
 from .vc import is_shattered, vc_exact
@@ -158,13 +158,25 @@ class _Runner:
         self.report.checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
 
+def _hypergraph_text(H: Hypergraph) -> str:
+    """The text the instance hash covers: ``serialize_hypergraph``'s text,
+    extended to the hypergraphs that format refuses.  A ``v`` line lists the
+    vertex ids when they are not the dense range [0, n), and an empty edge is
+    an empty line."""
+    lines = [f"p hgraph {H.n} {H.m}"]
+    if H.vertices and H.vertex_list[-1] != H.n - 1:
+        lines.append("v " + " ".join(map(str, H.vertex_list)))
+    lines += [" ".join(map(str, sorted(e))) for e in H.edges]
+    return "\n".join(lines) + "\n"
+
+
 def _instance_block(instance, source: str | None, generator: dict | None) -> dict:
     if isinstance(instance, Graph):
         kind, n, m = "graph", instance.n, instance.edge_count
         text = serialize_graph(instance)
     else:
         kind, n, m = "hypergraph", instance.n, instance.m
-        text = serialize_hypergraph(instance)
+        text = _hypergraph_text(instance)
     return {
         "kind": kind,
         "n": n,

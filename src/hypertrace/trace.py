@@ -152,17 +152,12 @@ def max_degree_bound(H: Hypergraph, k: int) -> int:
 
     Flooring the half-product is sound because trace counts are integers.
     The maximum degree is taken over distinct edges so multi-edge inputs do
-    not weaken the bound (trace counts never see multiplicities).
+    not weaken the bound (trace counts never see multiplicities); it is read
+    from the shared ``H.incidence``.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    delta = 0
-    counts: dict[int, int] = {}
-    for e in H.distinct_edges:
-        for v in e:
-            counts[v] = counts.get(v, 0) + 1
-    if counts:
-        delta = max(counts.values())
+    delta = max(map(len, H.incidence.edge_ids), default=0)
     return k * (delta + 1) // 2 + 1
 
 

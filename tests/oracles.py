@@ -45,17 +45,35 @@ def brute_restriction_edges(H: Hypergraph, S):
     return {e & S for e in H.edges if e & S}
 
 
-def brute_pseudo_peel(vertices, edges) -> int:
-    """Pseudo-peel value: drop a minimum-degree vertex with every edge on it."""
-    remaining, alive = set(vertices), set(edges)
-    best = 0
+def brute_pseudo_peel_order(vertices, edges):
+    """(order, degree sequence) of the pseudo peel: remove the lowest-id
+    vertex of minimum degree with every edge on it."""
+    remaining, alive, order, seq = set(vertices), set(edges) - {frozenset()}, [], []
     while remaining:
-        degree = {v: sum(1 for e in alive if v in e) for v in remaining}
-        v = min(remaining, key=lambda u: (degree[u], u))
-        best = max(best, degree[v])
+        v = min(remaining, key=lambda u: (sum(1 for e in alive if u in e), u))
+        order.append(v)
+        seq.append(sum(1 for e in alive if v in e))
         remaining.discard(v)
         alive = {e for e in alive if v not in e}
-    return best
+    return tuple(order), tuple(seq)
+
+
+def brute_pseudo_peel(vertices, edges) -> int:
+    """Pseudo-peel value: drop a minimum-degree vertex with every edge on it."""
+    return max(brute_pseudo_peel_order(vertices, edges)[1], default=0)
+
+
+def brute_classic_peel(H: Hypergraph):
+    """(order, degree sequence) of the classic peel: remove the lowest-id
+    vertex of minimum degree in the restriction to the vertices left."""
+    remaining, order, seq = set(H.vertices), [], []
+    while remaining:
+        traces = {e & remaining for e in H.edges} - {frozenset()}
+        v = min(remaining, key=lambda u: (sum(1 for t in traces if u in t), u))
+        order.append(v)
+        seq.append(sum(1 for t in traces if v in t))
+        remaining.discard(v)
+    return tuple(order), tuple(seq)
 
 
 def brute_reduced(H: Hypergraph) -> int:

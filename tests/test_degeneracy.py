@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,14 +11,19 @@ from hypertrace import (
     peel_degeneracy,
     peel_pseudo_degeneracy,
     pseudo_degeneracy_oracle,
+    pseudo_induced,
     random_gnp,
     random_tree,
     reduced_degeneracy,
     restriction,
 )
+from hypertrace import degeneracy
+from hypertrace.bench import instance_for_weight
 from hypertrace.errors import BudgetExceededError
 from oracles import (
+    brute_classic_peel,
     brute_pseudo_peel,
+    brute_pseudo_peel_order,
     brute_reduced,
     brute_restriction_edges,
     min_degree,
@@ -164,6 +170,60 @@ def test_peel_degree_sequence_is_min_degree_at_each_step():
             assert d == sum(1 for e in R.edges if v in e)
             assert d == min_degree(R)
             remaining.remove(v)
+
+
+def _peel_test_hypergraphs():
+    """Multi-edge hypergraphs with empty edges, then restrictions and pseudo
+    induced subhypergraphs of them, whose vertex ids are not [0, n)."""
+    rng = random.Random(808)
+    out = []
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        m = rng.randint(0, 16)
+        edges = [frozenset(rng.sample(range(n), rng.randint(0, min(n, 5)))) for _ in range(m)]
+        H = build_hypergraph(n, edges, allow_multi=True)
+        S = rng.sample(range(n), rng.randint(1, n))
+        out += [H, restriction(H, S), pseudo_induced(H, S)]
+    return out
+
+
+def test_peel_orders_match_frozenset_replay():
+    # Order and degree sequence, so the lowest-id tie-break is checked too.
+    for H in _peel_test_hypergraphs():
+        for result, replay in (
+            (peel_degeneracy(H), brute_classic_peel(H)),
+            (peel_pseudo_degeneracy(H), brute_pseudo_peel_order(H.vertices, H.edges)),
+        ):
+            assert (result.order, result.degree_sequence) == replay, (H.vertices, H.edges)
+            assert result.value == max(result.degree_sequence, default=0)
+
+
+@pytest.mark.parametrize("bits", [1, 2])
+def test_classic_peel_under_hash_collisions(monkeypatch, bits):
+    # With 1- or 2-bit keys nearly every class shares its hash with another,
+    # so merges go through the collision chains.
+    cases = _peel_test_hypergraphs()
+    expected = [peel_degeneracy(H) for H in cases]
+    monkeypatch.setattr(degeneracy, "HASH_KEY_BITS", bits)
+    for H, want in zip(cases, expected):
+        got = peel_degeneracy(H)
+        assert got == want
+        assert (got.order, got.degree_sequence) == brute_classic_peel(H)
+
+
+def test_peels_memory_at_100k_weight():
+    H = instance_for_weight(100_000)
+    tracemalloc.start()
+    try:
+        classic = peel_degeneracy(H)
+        pseudo = peel_pseudo_degeneracy(H)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(classic.order) == len(pseudo.order) == H.n
+    # The shared incidence and the per-class counts.  Per-class trace sets
+    # and an incidence built by each peel peaked near 13.6 MB.
+    assert peak < 9_000_000
 
 
 def _assert_reduced_is_classic(H):

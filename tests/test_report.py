@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hypertrace import Budgets, Graph, build_hypergraph, run_report, validate_report
+from hypertrace import Budgets, Graph, build_hypergraph, restriction, run_report, validate_report
 from hypertrace.generate import random_hypergraph, random_tree
 
 
@@ -91,6 +91,23 @@ def test_multi_edge_hypergraph_report():
     doc = report.to_dict()
     validate_report(doc)
     assert doc["results"]["dt"] == {"undefined": "duplicate edges"}
+
+
+def test_report_on_hypergraphs_the_text_format_refuses():
+    # The instance hash covers an empty edge and vertex ids other than [0, n),
+    # which the text format cannot carry.
+    empty = build_hypergraph(3, [set(), {0, 1}, {1, 2}])
+    sparse = restriction(build_hypergraph(4, [{0, 1}, {1, 2}, {2, 3}]), {1, 2, 3})
+    shifted = build_hypergraph(3, [{0}, {0, 1}, {1, 2}])
+    hashes = set()
+    for H in (empty, sparse, shifted):
+        report = run_report(H)
+        doc = report.to_dict()
+        validate_report(doc)
+        assert report.exit_code == 0
+        hashes.add(doc["instance"]["hash"])
+    assert len(hashes) == 3
+    assert run_report(empty).to_dict()["results"]["dt"] == {"undefined": "empty edge"}
 
 
 def test_tree_report_has_certificates():
