@@ -273,5 +273,12 @@ def pseudo_degeneracy_oracle(H: Hypergraph) -> int:
 
 
 def reduced_degeneracy(H: Hypergraph) -> DegeneracyTriple:
-    """All three degeneracy variants: the two peels, and ``reduced`` is ``classic``."""
-    return DegeneracyTriple(peel_pseudo_degeneracy(H).value, peel_degeneracy(H).value)
+    """All three degeneracy variants: the two peels, and ``reduced`` is ``classic``.
+
+    The one degeneracy gate: each peel runs once per hypergraph, and the
+    triple is kept in ``H.degeneracy_memo`` for every bound on the value.
+    """
+    memo = H.degeneracy_memo
+    if not memo:
+        memo.append(DegeneracyTriple(peel_pseudo_degeneracy(H).value, peel_degeneracy(H).value))
+    return memo[0]

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from .degeneracy import DegeneracyTriple, reduced_degeneracy
+from .degeneracy import reduced_degeneracy
 from .errors import NotATreeError
 from .graphs import Graph, find_twins, neighborhood_hypergraph, tree_stats
-from .trace import SUBSET_BUDGET_DEFAULT, trace_value
-from .transversal import BoundEntry, separating_set
+from .trace import J_MAX, SUBSET_BUDGET_DEFAULT, trace_value
+from .transversal import BoundEntry, bootstrap_entries, separating_set
 
 KINDS = ("LD", "ID", "OLD")
 
@@ -113,15 +113,11 @@ class KindBounds:
     infeasible_pair: tuple[int, int] | None = None
 
 
-def domination_lower_bounds(
-    G: Graph,
-    j_max: int = 8,
-    closed_degeneracy: DegeneracyTriple | None = None,
-    open_degeneracy: DegeneracyTriple | None = None,
-) -> dict[str, KindBounds]:
+def domination_lower_bounds(G: Graph, j_max: int = J_MAX) -> dict[str, KindBounds]:
     """The neighborhood-hypergraph lower bounds for all three kinds.
 
-    j is bootstrapped per kind exactly as for distinguishing transversals.
+    Each bound reads T_j and the reduced degeneracy from one neighborhood
+    hypergraph, and j is bootstrapped per kind by ``bootstrap_entries``.
     For OLD the formula pairing the open-hypergraph degeneracy with the
     closed hypergraph's trace value is also evaluated; the weaker (safe)
     of the two readings is reported and a flag records any discrepancy.
@@ -129,19 +125,29 @@ def domination_lower_bounds(
     n = G.n
     H = neighborhood_hypergraph(G, closed=True)
     Ho = neighborhood_hypergraph(G, closed=False)
-    dc = closed_degeneracy or reduced_degeneracy(H)
-    do = open_degeneracy or reduced_degeneracy(Ho)
+    dc = reduced_degeneracy(H).reduced
+    do = reduced_degeneracy(Ho).reduced
     out: dict[str, KindBounds] = {}
-
-    def ld_entries_at(j: int) -> list[BoundEntry]:
-        tc, fc = trace_value(H, j)
-        to, fo = trace_value(Ho, j)
-        return _ld_pair_bounds(n, j, (dc.reduced, tc, fc), (do.reduced, to, fo))
 
     def transversal(t_j: int, delta: int, j: int) -> Fraction:
         # (n - T_j) / delta + j.  Without vertices there is nothing to tell
         # apart and delta is 0, as in ``dt_lower_bounds`` without edges.
         return Fraction(n - t_j, delta) + j if n else Fraction(0)
+
+    def entries_at(kind: str, j: int) -> list[BoundEntry]:
+        tc, fc = trace_value(H, j)
+        to, fo = trace_value(Ho, j)
+        batch = _ld_pair_bounds(n, j, (dc, tc, fc), (do, to, fo))
+        if kind == "ID":
+            batch.append(BoundEntry("id-transversal", j, transversal(tc, dc, j), fc, dc))
+        elif kind == "OLD":
+            certified_value = transversal(to, do, j)
+            literal_value = transversal(tc, do, j)
+            flags = ("formula-discrepancy",) if literal_value != certified_value else ()
+            value = min(certified_value, literal_value)
+            form = fo if value == certified_value else fc
+            batch.append(BoundEntry("old-transversal", j, value, form, do, flags))
+        return batch
 
     closed_twins = find_twins(G, closed=True)
     open_twins = find_twins(G, closed=False)
@@ -152,32 +158,10 @@ def domination_lower_bounds(
             caveats.append("closed twins present")
         if open_twins:
             caveats.append("open twins present")
-        entries: list[BoundEntry] = []
         if not feasible:
             out[kind] = KindBounds(kind, False, (), tuple([reason, *caveats]), pair)
             continue
-        certified = 0
-        j = 0
-        while j <= j_max and j <= certified:
-            batch = ld_entries_at(j)
-            if kind == "ID":
-                t_j, form = trace_value(H, j)
-                batch.append(
-                    BoundEntry("id-transversal", j, transversal(t_j, dc.reduced, j), form, dc.reduced)
-                )
-            elif kind == "OLD":
-                t_open, form_o = trace_value(Ho, j)
-                t_closed, form_c = trace_value(H, j)
-                certified_value = transversal(t_open, do.reduced, j)
-                literal_value = transversal(t_closed, do.reduced, j)
-                flags = ("formula-discrepancy",) if literal_value != certified_value else ()
-                value = min(certified_value, literal_value)
-                form = form_o if value == certified_value else form_c
-                batch.append(BoundEntry("old-transversal", j, value, form, do.reduced, flags))
-            for entry in batch:
-                entries.append(entry)
-                certified = max(certified, entry.ceiled)
-            j += 1
+        entries = bootstrap_entries(lambda j, kind=kind: entries_at(kind, j), j_max)
         out[kind] = KindBounds(kind, True, tuple(entries), tuple(caveats))
     return out
 

@@ -3,9 +3,10 @@
 A hypergraph is a finite vertex set together with an ordered family of
 edges, each edge a subset of the vertices.  Values are immutable; every
 operation returns a new value, so instances are safe to share between
-threads.  Derived data (the incidence, masks, the trace-function memo) is
-cached on the value; it is a deterministic function of the value, so a race
-between threads can only compute an entry twice, never change it.
+threads.  Derived data (the incidence, masks, the trace-function and
+degeneracy memos) is cached on the value; it is a deterministic function of
+the value, so a race between threads can only compute an entry twice, never
+change it.
 """
 
 from __future__ import annotations
@@ -73,6 +74,12 @@ class Hypergraph:
     def vertex_list(self) -> tuple[int, ...]:
         return tuple(sorted(self.vertices))
 
+    @property
+    def is_dense(self) -> bool:
+        """Whether the vertex ids are exactly the range [0, n)."""
+        verts = self.vertex_list
+        return not verts or (verts[0] == 0 and verts[-1] == len(verts) - 1)
+
     @cached_property
     def vertex_pos(self) -> dict[int, int]:
         return {v: i for i, v in enumerate(self.vertex_list)}
@@ -101,9 +108,8 @@ class Hypergraph:
         On the dense range [0, n) a position is its vertex id, so the edges
         are the distinct nonempty edges themselves, not copies.
         """
-        verts = self.vertex_list
-        n = len(verts)
-        if n and verts[-1] == n - 1:
+        n = self.n
+        if self.is_dense:
             edges = tuple(filter(None, self.distinct_edges))
         else:
             getpos = self.vertex_pos.__getitem__
@@ -124,6 +130,12 @@ class Hypergraph:
         """Exact trace-function results keyed by (k, include_empty), filled by
         ``trace_function_exact`` and shared by every bound on this value."""
         return {}
+
+    @cached_property
+    def degeneracy_memo(self) -> list:
+        """The ``DegeneracyTriple`` of this value once ``reduced_degeneracy``
+        has peeled it (a list of at most one entry), read by every bound."""
+        return []
 
     @cached_property
     def separating_memo(self) -> dict[bool, tuple[tuple[int, ...] | None, int]]:

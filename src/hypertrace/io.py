@@ -121,7 +121,7 @@ def parse_hypergraph(path, allow_multi: bool = False) -> Hypergraph:
 
 
 def serialize_hypergraph(H: Hypergraph, base: int = 0) -> str:
-    if H.vertices and H.vertex_list[-1] != H.n - 1:
+    if not H.is_dense:
         raise ValueError("only hypergraphs on a dense vertex range serialize")
     for e in H.edges:
         if not e:

@@ -30,15 +30,12 @@ from .errors import BudgetExceededError
 from .graphs import Graph, find_twins, neighborhood_hypergraph, tree_stats
 from .hypergraph import Hypergraph
 from .io import serialize_graph
-from .trace import SUBSET_BUDGET_DEFAULT, trace_bound_profile
+from .trace import J_MAX, SUBSET_BUDGET_DEFAULT, trace_bound_profile
 from .transversal import BoundEntry, dt_exact, dt_lower_bounds
 from .vc import is_shattered, vc_exact
 
 ALL_ANALYSES = ("degeneracy", "trace", "vc", "dt", "domination", "tree")
 
-
-# Largest j the bootstrapped trace, DT and domination bounds go up to.
-J_MAX = 8
 # The keys of a graph's ``trace_closed`` entries, a subset of a hypergraph's ``trace`` entries.
 GRAPH_TRACE_KEYS = ("k", "exact", "max_degree_bound", "reduced_times_k", "caveats")
 
@@ -164,7 +161,7 @@ def _hypergraph_text(H: Hypergraph) -> str:
     vertex ids when they are not the dense range [0, n), and an empty edge is
     an empty line."""
     lines = [f"p hgraph {H.n} {H.m}"]
-    if H.vertices and H.vertex_list[-1] != H.n - 1:
+    if not H.is_dense:
         lines.append("v " + " ".join(map(str, H.vertex_list)))
     lines += [" ".join(map(str, sorted(e))) for e in H.edges]
     return "\n".join(lines) + "\n"
@@ -242,9 +239,7 @@ def _analyze(instance, r: _Runner, budgets: Budgets, analyses) -> None:
         for k in sorted({s for s in (1, 2, H.n // 2, H.n) if s <= H.n}):
             profile = r.stage(
                 f"trace-k{k}",
-                lambda k=k: trace_bound_profile(
-                    H, k, triples[first], j_max=J_MAX, subset_budget=budgets.subset_budget
-                ),
+                lambda k=k: trace_bound_profile(H, k, j_max=J_MAX, subset_budget=budgets.subset_budget),
             )
             if profile is None:
                 continue
@@ -290,8 +285,8 @@ def _analyze(instance, r: _Runner, budgets: Budgets, analyses) -> None:
             }
             r.check("vc-within-degeneracy-cap", vc.dimension <= vc.upper_bound_used)
             if not graph:
-                distinct = sum(1 for e in H.distinct_edges if e)
-                passed = vc.dimension == 0 if distinct == 0 else (1 << vc.dimension) <= distinct
+                # A shattered d-set carries 2^d distinct traces, the empty one included.
+                passed = vc.dimension == 0 or (1 << vc.dimension) <= len(H.distinct_edges)
                 r.check("vc-within-log-edges", passed)
             elif instance.n <= 12:
                 # Against the definition, unpruned: no (d+1)-set of any vertices shatters.
@@ -312,10 +307,7 @@ def _analyze(instance, r: _Runner, budgets: Budgets, analyses) -> None:
                 block[side] = {"undefined": "empty edge" + isolated}
                 continue
             name = named("dt", side)
-            bounds = r.stage(
-                f"{name}-bounds",
-                lambda h=h, t=triples[side]: dt_lower_bounds(h, t, j_max=J_MAX),
-            )
+            bounds = r.stage(f"{name}-bounds", lambda h=h: dt_lower_bounds(h))
             dt = r.stage(name, lambda h=h: dt_exact(h, subset_budget=budgets.subset_budget))
             block[side] = {
                 "value": exact_value(dt.value) if dt is not None else None,
@@ -328,18 +320,13 @@ def _analyze(instance, r: _Runner, budgets: Budgets, analyses) -> None:
         res["dt"] = nested(block)
 
     if graph and "domination" in analyses:
-        _domination(instance, r, budgets, triples, dts.get("closed"))
+        _domination(instance, r, budgets, dts.get("closed"))
     if graph and "tree" in analyses and instance.is_tree:
         _tree(instance, r)
 
 
-def _domination(G: Graph, r: _Runner, budgets: Budgets, triples, dt_closed: int | None) -> None:
-    kind_bounds = r.stage(
-        "domination-bounds",
-        lambda: domination_lower_bounds(
-            G, j_max=J_MAX, closed_degeneracy=triples["closed"], open_degeneracy=triples["open"]
-        ),
-    )
+def _domination(G: Graph, r: _Runner, budgets: Budgets, dt_closed: int | None) -> None:
+    kind_bounds = r.stage("domination-bounds", lambda: domination_lower_bounds(G))
     block = {}
     exacts: dict[str, int | None] = {}
     for kind in KINDS:

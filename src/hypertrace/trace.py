@@ -16,13 +16,16 @@ from itertools import combinations
 from math import comb
 
 from .bitset import bits
-from .degeneracy import DegeneracyTriple
+from .degeneracy import reduced_degeneracy
 from .errors import BudgetExceededError, MultiEdgeError
 from .hypergraph import Hypergraph
 
 SUBSET_BUDGET_DEFAULT = 2_000_000
 # Exact trace values feed the chain bounds only while enumeration stays cheap.
 CHAIN_EXACT_WORK_LIMIT = 10_000_000
+# Largest j the bootstrapped DT and domination bounds, and a report's chain
+# bounds, go up to.
+J_MAX = 8
 # Picks bounded by ``_partition_bound``, the last pick never.  Deeper down the
 # search walks plain combinations: there a bound costs a few leaf evaluations
 # and saves fewer.
@@ -166,9 +169,9 @@ class ChainBounds:
     """Degeneracy-driven trace bounds for one subset size.
 
     Each entry is (j, bound, form): the bound splits a k-subset into the
-    first k-j peel steps, each contributing at most the reduced degeneracy,
-    plus all traces on the last j vertices (exact trace value when cheap,
-    else 2^j - 1).
+    first k-j peel steps, each contributing at most the reduced degeneracy
+    of the same hypergraph, plus all traces on the last j vertices (exact
+    trace value when cheap, else 2^j - 1).
     """
 
     k: int
@@ -177,15 +180,11 @@ class ChainBounds:
     classic_times_k: int
 
 
-def degeneracy_chain_bounds(
-    H: Hypergraph,
-    k: int,
-    degeneracy: DegeneracyTriple,
-    j_max: int | None = None,
-) -> ChainBounds:
+def degeneracy_chain_bounds(H: Hypergraph, k: int, j_max: int | None = None) -> ChainBounds:
     """Evaluate the peel-split trace bounds for every j up to ``j_max``."""
     if k < 0:
         raise ValueError("k must be non-negative")
+    degeneracy = reduced_degeneracy(H)
     delta = degeneracy.reduced
     j_top = k if j_max is None else min(j_max, k)
     entries = []
@@ -231,7 +230,6 @@ class BoundProfile:
 def trace_bound_profile(
     H: Hypergraph,
     k: int,
-    degeneracy: DegeneracyTriple,
     j_max: int | None = None,
     subset_budget: int = SUBSET_BUDGET_DEFAULT,
 ) -> BoundProfile:
@@ -260,7 +258,7 @@ def trace_bound_profile(
         exact_with_empty=exact_all,
         witness=witness,
         max_degree=max_degree_bound(H, k),
-        chain=degeneracy_chain_bounds(H, k, degeneracy, j_max=j_max),
+        chain=degeneracy_chain_bounds(H, k, j_max=j_max),
         lower=lower,
         caveats=tuple(caveats),
     )

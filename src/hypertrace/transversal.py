@@ -4,22 +4,22 @@ A distinguishing transversal is a vertex set on which every edge leaves a
 nonempty trace and no two edges leave the same trace.  Its minimum size is
 bounded below by (|E| - T_j) / reduced_degeneracy + j for any j not
 exceeding that minimum, where T_j is the trace function at size j (or its
-2^j - 1 relaxation).
+2^j - 1 relaxation) and both are read from the same hypergraph.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb
 
 from .bitset import bits
-from .degeneracy import DegeneracyTriple
+from .degeneracy import reduced_degeneracy
 from .errors import BudgetExceededError, MultiEdgeError
 from .hypergraph import Hypergraph
-from .trace import SUBSET_BUDGET_DEFAULT, trace_value
+from .trace import J_MAX, SUBSET_BUDGET_DEFAULT, trace_value
 
 
 @dataclass(frozen=True)
@@ -212,35 +212,40 @@ def dt_exact(H: Hypergraph, subset_budget: int = SUBSET_BUDGET_DEFAULT) -> DtRes
     return DtResult(len(combo), tuple(H.vertex_list[p] for p in combo))
 
 
-def dt_lower_bounds(
-    H: Hypergraph,
-    degeneracy: DegeneracyTriple,
-    j_max: int = 8,
-) -> list[BoundEntry]:
-    """Certified lower bounds on the distinguishing transversal number.
+def bootstrap_entries(entries_at: Callable[[int], list[BoundEntry]], j_max: int) -> list[BoundEntry]:
+    """The bound entries for j = 0, 1, ... up to ``j_max``, in that order.
 
-    The parameter j must not exceed the (unknown) answer, so values of j
-    are admitted incrementally: j = 0 is always sound, and each further j
-    is used only once the bounds already certified reach it.
+    A bound in j is certified only for j not above the (unknown) answer, so
+    j = 0 is always admitted and each further j only once the entries
+    certified so far reach it.
     """
+    entries: list[BoundEntry] = []
+    certified = 0
+    j = 0
+    while j <= j_max and j <= certified:
+        batch = entries_at(j)
+        entries += batch
+        certified = max([certified, *(b.ceiled for b in batch)])
+        j += 1
+    return entries
+
+
+def dt_lower_bounds(H: Hypergraph, j_max: int = J_MAX) -> list[BoundEntry]:
+    """Certified lower bounds on the distinguishing transversal number,
+    with j bootstrapped by ``bootstrap_entries``."""
     _require_simple(H)
     if any(not e for e in H.edges):
         raise ValueError("an empty edge admits no transversal")
     m = H.m
     if m == 0:
         return [BoundEntry("dt", 0, Fraction(0), "exact-T", 0)]
-    delta = degeneracy.reduced
-    entries: list[BoundEntry] = []
-    certified = 0
-    j = 0
-    while j <= j_max and j <= certified:
+    delta = reduced_degeneracy(H).reduced
+
+    def entries_at(j: int) -> list[BoundEntry]:
         t_j, form = trace_value(H, j)
         forms = [(t_j, form)]
         if form != "power-of-two":
             forms.append(((1 << j) - 1, "power-of-two"))
-        for t, form in forms:
-            value = Fraction(m - t, delta) + j
-            entries.append(BoundEntry("dt", j, value, form, delta))
-            certified = max(certified, ceil(value))
-        j += 1
-    return entries
+        return [BoundEntry("dt", j, Fraction(m - t, delta) + j, f, delta) for t, f in forms]
+
+    return bootstrap_entries(entries_at, j_max)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from heapq import merge
 from itertools import combinations
 
-from .degeneracy import peel_degeneracy
+from .degeneracy import reduced_degeneracy
 from .errors import BudgetExceededError
 from .hypergraph import Hypergraph
 from .trace import SUBSET_BUDGET_DEFAULT
@@ -50,14 +50,12 @@ def is_shattered(H: Hypergraph, subset) -> bool:
     return len({em & smask for em in H.distinct_masks}) == 1 << len(s)
 
 
-def vc_upper_bound(H: Hypergraph, classic: int | None = None) -> int:
+def vc_upper_bound(H: Hypergraph) -> int:
     """Cap floor(log2(classic degeneracy)) + 1 on the VC dimension.
 
     Returns 0 for an edgeless hypergraph (degeneracy 0) by convention.
     """
-    if classic is None:
-        classic = peel_degeneracy(H).value
-    return classic.bit_length()
+    return reduced_degeneracy(H).classic.bit_length()
 
 
 def _edge_subsets(H: Hypergraph, size: int):

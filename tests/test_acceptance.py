@@ -111,7 +111,7 @@ def test_criterion_2_trace_bound_ladder():
                 violations += 1
             if exact > max_degree_bound(H, k):
                 violations += 1
-            chain = degeneracy_chain_bounds(H, k, triple)
+            chain = degeneracy_chain_bounds(H, k)
             if any(exact > v for _, v, _ in chain.entries):
                 violations += 1
             if k >= 1 and H.m:
@@ -152,13 +152,12 @@ def test_criterion_3_vc_exactness_and_caps():
 def test_criterion_4_dt_bounds_below_exact():
     bad = 0
     for H in _random_hypergraphs(300, seed=404, max_n=9, max_m=14, simple=True, min_m=1):
-        triple = reduced_degeneracy(H)
-        bounds = dt_lower_bounds(H, triple, j_max=10)
+        bounds = dt_lower_bounds(H, j_max=10)
         value = dt_exact(H).value
         if any(b.ceiled > value for b in bounds):
             bad += 1
     tri = build_hypergraph(3, [{0, 1}, {1, 2}, {0, 2}])
-    tight = max(b.ceiled for b in dt_lower_bounds(tri, reduced_degeneracy(tri)))
+    tight = max(b.ceiled for b in dt_lower_bounds(tri))
     if tight != 2 or dt_exact(tri).value != 2:
         bad += 1
     _report(4, "dt-bounds-below-exact", bad == 0, "300 instances, tight on the triangle")

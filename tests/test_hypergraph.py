@@ -2,13 +2,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypertrace import (
+    Hypergraph,
     build_hypergraph,
     degree_profile,
+    max_degree_bound,
+    peel_degeneracy,
+    peel_pseudo_degeneracy,
     pseudo_induced,
     restriction,
+    run_report,
+    serialize_hypergraph,
     trace_family,
 )
-from oracles import brute_restriction_edges
+from oracles import brute_classic_peel, brute_pseudo_peel_order, brute_restriction_edges
 
 
 @st.composite
@@ -159,3 +165,16 @@ def test_trace_count_cap(H, data):
     fam = trace_family(H, S)
     assert fam.count <= min(H.m, (1 << len(S)) - 1 if S else 0)
     assert all(t and t <= S for t in fam.traces)
+
+
+def test_negative_ids_are_not_the_dense_range():
+    # n - 1 is the last id, but the first is not 0: positions are not ids.
+    H = Hypergraph(frozenset({-1, 0, 2}), (frozenset({-1, 0}), frozenset({0, 2}), frozenset({-1})))
+    assert not H.is_dense
+    classic, pseudo = peel_degeneracy(H), peel_pseudo_degeneracy(H)
+    assert (classic.order, classic.degree_sequence) == brute_classic_peel(H)
+    assert (pseudo.order, pseudo.degree_sequence) == brute_pseudo_peel_order(H.vertices, H.edges)
+    assert max_degree_bound(H, 2) == 4
+    with pytest.raises(ValueError):
+        serialize_hypergraph(H)
+    assert run_report(H).exit_code == 0

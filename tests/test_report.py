@@ -1,9 +1,12 @@
 import json
+import sys
+from collections import Counter
 
 import pytest
 
 from hypertrace import Budgets, Graph, build_hypergraph, restriction, run_report, validate_report
-from hypertrace.generate import random_hypergraph, random_tree
+from hypertrace import degeneracy
+from hypertrace.generate import random_gnp, random_hypergraph, random_tree
 
 
 def test_hypergraph_report(tri):
@@ -99,15 +102,39 @@ def test_report_on_hypergraphs_the_text_format_refuses():
     empty = build_hypergraph(3, [set(), {0, 1}, {1, 2}])
     sparse = restriction(build_hypergraph(4, [{0, 1}, {1, 2}, {2, 3}]), {1, 2, 3})
     shifted = build_hypergraph(3, [{0}, {0, 1}, {1, 2}])
+    # Shattered with the empty edge as one of their 2^n traces.
+    shattered = [build_hypergraph(2, [set(), {0}, {1}, {0, 1}]), build_hypergraph(1, [set(), {0}])]
     hashes = set()
-    for H in (empty, sparse, shifted):
+    for H in (empty, sparse, shifted, *shattered):
         report = run_report(H)
         doc = report.to_dict()
         validate_report(doc)
         assert report.exit_code == 0
         hashes.add(doc["instance"]["hash"])
-    assert len(hashes) == 3
+    assert len(hashes) == 5
     assert run_report(empty).to_dict()["results"]["dt"] == {"undefined": "empty edge"}
+
+
+def test_one_peel_per_side(monkeypatch):
+    # Every bound reads the degeneracy memo of its own hypergraph, so a
+    # report peels each side once with each peel.
+    calls = Counter()
+    modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "hypertrace" and m]
+    for name in ("peel_degeneracy", "peel_pseudo_degeneracy"):
+        original = getattr(degeneracy, name)
+
+        def counted(H, name=name, original=original):
+            calls[name] += 1
+            return original(H)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    hypergraph = random_hypergraph(10, 14, seed=3)
+    for instance, sides in ((random_gnp(16, 0.3, seed=1), 2), (random_tree(14, seed=2), 2), (hypergraph, 1)):
+        calls.clear()
+        run_report(instance)
+        assert calls == {"peel_degeneracy": sides, "peel_pseudo_degeneracy": sides}
 
 
 def test_tree_report_has_certificates():

@@ -139,8 +139,7 @@ def test_max_degree_bound_ignores_multiplicity():
 
 
 def test_chain_bounds_triangle(tri):
-    triple = reduced_degeneracy(tri)
-    chain = degeneracy_chain_bounds(tri, 2, triple)
+    chain = degeneracy_chain_bounds(tri, 2)
     by_j = {j: v for j, v, _ in chain.entries}
     assert by_j[0] == 4  # reduced * k
     assert chain.reduced_times_k == 4
@@ -152,14 +151,13 @@ def test_chain_bounds_triangle(tri):
 
 
 def test_chain_bounds_k0(tri):
-    chain = degeneracy_chain_bounds(tri, 0, reduced_degeneracy(tri))
+    chain = degeneracy_chain_bounds(tri, 0)
     assert chain.entries == ((0, 0, "exact-T"),)
 
 
 def test_chain_uses_power_of_two_when_expensive():
     H = build_hypergraph(30, [frozenset(range(30))])
-    triple = reduced_degeneracy(H)
-    chain = degeneracy_chain_bounds(H, 20, triple, j_max=16)
+    chain = degeneracy_chain_bounds(H, 20, j_max=16)
     forms = {j: form for j, _, form in chain.entries}
     assert forms[16] == "power-of-two"
     assert forms[0] == "exact-T"
@@ -187,7 +185,6 @@ def test_randomized_bound_ladder():
     rng = random.Random(99)
     for _ in range(60):
         H = random_simple(rng, max_n=7, max_m=10)
-        triple = reduced_degeneracy(H)
         vc = vc_exact(H).dimension
         for k in range(H.n + 1):
             exact, _ = trace_function_exact(H, k)
@@ -196,7 +193,7 @@ def test_randomized_bound_ladder():
             assert exact <= max_degree_bound(H, k)
             assert exact <= sauer_shelah_bound(vc, k)
             assert exact_all <= sauer_shelah_bound(vc, k)
-            chain = degeneracy_chain_bounds(H, k, triple)
+            chain = degeneracy_chain_bounds(H, k)
             assert all(exact <= v for _, v, _ in chain.entries)
             assert exact <= chain.reduced_times_k <= chain.classic_times_k
             if k >= 1 and H.m:
@@ -229,8 +226,7 @@ def test_approximation_factor_claim():
 
 
 def test_profile_assembly(tri):
-    triple = reduced_degeneracy(tri)
-    profile = trace_bound_profile(tri, 2, triple)
+    profile = trace_bound_profile(tri, 2)
     assert profile.exact == 3
     assert profile.exact_with_empty == 3
     assert profile.lower == 3
@@ -239,7 +235,7 @@ def test_profile_assembly(tri):
 
 
 def test_profile_budget_skip(tri):
-    profile = trace_bound_profile(tri, 2, reduced_degeneracy(tri), subset_budget=1)
+    profile = trace_bound_profile(tri, 2, subset_budget=1)
     assert profile.exact is None
     assert any("budget" in c for c in profile.caveats)
     assert profile.max_degree == 4

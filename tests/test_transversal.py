@@ -14,7 +14,6 @@ from hypertrace import (
     gamma_exact,
     is_distinguishing_transversal,
     neighborhood_hypergraph,
-    reduced_degeneracy,
     run_report,
     transversal,
 )
@@ -92,8 +91,7 @@ def test_exact_budget():
 
 
 def test_bounds_triangle_tight(tri):
-    triple = reduced_degeneracy(tri)
-    bounds = dt_lower_bounds(tri, triple)
+    bounds = dt_lower_bounds(tri)
     assert max(b.ceiled for b in bounds) == 2 == dt_exact(tri).value
     j0 = [b for b in bounds if b.j == 0 and b.form == "exact-T"][0]
     assert j0.value == Fraction(3, 2)
@@ -101,7 +99,7 @@ def test_bounds_triangle_tight(tri):
 
 def test_bounds_p4_closed():
     H = build_hypergraph(4, [{0, 1}, {0, 1, 2}, {1, 2, 3}, {2, 3}])
-    bounds = dt_lower_bounds(H, reduced_degeneracy(H))
+    bounds = dt_lower_bounds(H)
     by = {(b.j, b.form): b.value for b in bounds}
     assert by[(1, "exact-T")] == Fraction(4 - 1, 2) + 1
     assert max(b.ceiled for b in bounds) == 3 == dt_exact(H).value
@@ -111,8 +109,7 @@ def test_bootstrap_never_exceeds_certified():
     rng = random.Random(3)
     for _ in range(60):
         H = random_simple(rng, min_m=1)
-        triple = reduced_degeneracy(H)
-        bounds = dt_lower_bounds(H, triple, j_max=10)
+        bounds = dt_lower_bounds(H, j_max=10)
         value = dt_exact(H).value
         certified = 0
         for b in bounds:
@@ -125,7 +122,7 @@ def test_exact_t_form_dominates_power_of_two():
     rng = random.Random(41)
     for _ in range(40):
         H = random_simple(rng, min_m=1)
-        bounds = dt_lower_bounds(H, reduced_degeneracy(H), j_max=6)
+        bounds = dt_lower_bounds(H, j_max=6)
         by_j = {}
         for b in bounds:
             by_j.setdefault(b.j, {})[b.form] = b.value

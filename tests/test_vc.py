@@ -44,8 +44,9 @@ def test_shattering_cap():
 
 def test_upper_bound_formula(tri):
     assert vc_upper_bound(tri) == 2
-    assert vc_upper_bound(tri, classic=1) == 1
-    assert vc_upper_bound(tri, classic=8) == 4
+    assert vc_upper_bound(build_hypergraph(2, [{0, 1}])) == 1  # classic degeneracy 1
+    k9 = build_hypergraph(9, [{u, v} for u in range(9) for v in range(u)])
+    assert vc_upper_bound(k9) == 4  # classic degeneracy 8
     assert vc_upper_bound(build_hypergraph(2, [])) == 0
 
 
