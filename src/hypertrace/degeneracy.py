@@ -27,9 +27,8 @@ from functools import reduce
 from heapq import heapify, heappop, heappush
 from operator import xor
 
-from .bitset import bits
 from .errors import BudgetExceededError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, bits
 
 ORACLE_VERTEX_CAP = 20
 # The classic peel hashes a trace as the XOR of per-vertex random keys of

@@ -12,10 +12,18 @@ change it.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
+
+
+def bits(mask: int) -> Iterator[int]:
+    """Yield the set bit positions of ``mask`` in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class Incidence(NamedTuple):
@@ -91,14 +99,7 @@ class Hypergraph:
         Only intended for desk-scale enumeration; large instances should
         read the per-vertex edge ids of ``incidence`` instead.
         """
-        pos = self.vertex_pos
-        masks = []
-        for e in self.edges:
-            m = 0
-            for v in e:
-                m |= 1 << pos[v]
-            masks.append(m)
-        return tuple(masks)
+        return tuple(map(self.mask, self.edges))
 
     @cached_property
     def incidence(self) -> Incidence:
@@ -150,6 +151,14 @@ class Hypergraph:
             bad = sorted(s - self.vertices)
             raise ValueError(f"vertex {bad[0]} not in the hypergraph")
         return s
+
+    def mask(self, subset: Iterable[int]) -> int:
+        """``subset`` as a bit vector over positions in ``vertex_list``."""
+        pos = self.vertex_pos
+        smask = 0
+        for v in self.normalize_subset(subset):
+            smask |= 1 << pos[v]
+        return smask
 
     def __repr__(self) -> str:
         return f"Hypergraph(n={self.n}, m={self.m}, multi={self.allow_multi})"

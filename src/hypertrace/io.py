@@ -120,16 +120,26 @@ def parse_hypergraph(path, allow_multi: bool = False) -> Hypergraph:
     return parse_hypergraph_text(Path(path).read_text(), allow_multi=allow_multi)
 
 
+def hypergraph_text(H: Hypergraph, base: int = 0) -> str:
+    """The text format of ``H``, extended to the hypergraphs the format
+    refuses: a ``v`` line lists the vertex ids when they are not the dense
+    range [0, n), and an empty edge is an empty line.  A report hashes this
+    text."""
+    name = {v: str(v + base) for v in H.vertex_list}.__getitem__
+    lines = [f"p hgraph {H.n} {H.m}" + (f" {base}" if base else "")]
+    if not H.is_dense:
+        lines.append("v " + " ".join(map(name, H.vertex_list)))
+    lines += [" ".join(map(name, sorted(e))) for e in H.edges]
+    return "\n".join(lines) + "\n"
+
+
 def serialize_hypergraph(H: Hypergraph, base: int = 0) -> str:
     if not H.is_dense:
         raise ValueError("only hypergraphs on a dense vertex range serialize")
     for e in H.edges:
         if not e:
             raise ValueError("the text format cannot carry empty edges")
-    lines = [f"p hgraph {H.n} {H.m}" + (f" {base}" if base else "")]
-    for e in H.edges:
-        lines.append(" ".join(str(v + base) for v in sorted(e)))
-    return "\n".join(lines) + "\n"
+    return hypergraph_text(H, base)
 
 
 def sniff_kind(text: str) -> str:

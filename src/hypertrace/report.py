@@ -29,7 +29,7 @@ from .domination import (
 from .errors import BudgetExceededError
 from .graphs import Graph, find_twins, neighborhood_hypergraph, tree_stats
 from .hypergraph import Hypergraph
-from .io import serialize_graph
+from .io import hypergraph_text, serialize_graph
 from .trace import J_MAX, SUBSET_BUDGET_DEFAULT, trace_bound_profile
 from .transversal import BoundEntry, dt_exact, dt_lower_bounds
 from .vc import is_shattered, vc_exact
@@ -155,25 +155,13 @@ class _Runner:
         self.report.checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
 
-def _hypergraph_text(H: Hypergraph) -> str:
-    """The text the instance hash covers: ``serialize_hypergraph``'s text,
-    extended to the hypergraphs that format refuses.  A ``v`` line lists the
-    vertex ids when they are not the dense range [0, n), and an empty edge is
-    an empty line."""
-    lines = [f"p hgraph {H.n} {H.m}"]
-    if not H.is_dense:
-        lines.append("v " + " ".join(map(str, H.vertex_list)))
-    lines += [" ".join(map(str, sorted(e))) for e in H.edges]
-    return "\n".join(lines) + "\n"
-
-
 def _instance_block(instance, source: str | None, generator: dict | None) -> dict:
     if isinstance(instance, Graph):
         kind, n, m = "graph", instance.n, instance.edge_count
         text = serialize_graph(instance)
     else:
         kind, n, m = "hypergraph", instance.n, instance.m
-        text = _hypergraph_text(instance)
+        text = hypergraph_text(instance)
     return {
         "kind": kind,
         "n": n,

@@ -11,14 +11,14 @@ min(|E|, k+1).  The binomial-sum bound driven by VC dimension is
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .bitset import bits
 from .degeneracy import reduced_degeneracy
 from .errors import BudgetExceededError, MultiEdgeError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, bits
 
 SUBSET_BUDGET_DEFAULT = 2_000_000
 # Exact trace values feed the chain bounds only while enumeration stays cheap.
@@ -26,10 +26,6 @@ CHAIN_EXACT_WORK_LIMIT = 10_000_000
 # Largest j the bootstrapped DT and domination bounds, and a report's chain
 # bounds, go up to.
 J_MAX = 8
-# Picks bounded by ``_partition_bound``, the last pick never.  Deeper down the
-# search walks plain combinations: there a bound costs a few leaf evaluations
-# and saves fewer.
-_BOUND_DEPTH = 4
 
 
 def trace_function_exact(
@@ -45,10 +41,13 @@ def trace_function_exact(
     search is a lexicographic depth-first search over vertex positions.  It
     stops at the first k-set whose count reaches the ceiling (the distinct
     edge count, or ``2^k``; without the empty trace, the distinct nonempty
-    edge count or ``2^k - 1``), and it skips a prefix of the first
-    ``_BOUND_DEPTH`` picks whose ``_partition_bound`` does not beat the best
-    count so far.  Only a strictly larger count replaces the witness, so
-    neither cut can change it.
+    edge count or ``2^k - 1``), and after every pick but the last it skips
+    a prefix unless ``reaches`` grants it one trace more than the best
+    count so far; where a single completion is left, every position from
+    the next pick on, it counts that k-set instead.  Only a strictly
+    larger count replaces the witness, so neither cut can change it.  The
+    picks live on an explicit stack, so the search does not recurse once
+    per pick and any k up to ``H.n`` runs on thousands of vertices.
     Refuses instances whose C(n, k) exceeds ``subset_budget``, whether or
     not the value is already in ``H.trace_memo``; otherwise each value is
     enumerated once per hypergraph and then served from the memo.
@@ -71,58 +70,82 @@ def trace_function_exact(
         ceiling = min(len(masks), 1 << k)
     else:
         ceiling = min(len(masks) - (0 in masks), (1 << k) - 1)
-    top = min(max(k - 1, 0), _BOUND_DEPTH)
     best = -1
     best_mask = 0
 
-    def search(depth: int, start: int, smask: int) -> bool:
-        """Visit, in lexicographic order, the k-sets extending ``smask`` by
-        positions from ``start`` on; True once ``best`` reaches the ceiling."""
+    def leaf(start: int, smask: int, left: int) -> bool:
+        """Count every k-set that adds ``left`` positions from ``start`` on
+        to ``smask``, in lexicographic order; True once ``best`` reaches
+        the ceiling."""
         nonlocal best, best_mask
-        left = k - depth
-        if depth == top:
-            for combo in combinations(singles[start:], left):
-                s = smask + sum(combo)
-                traces = {em & s for em in masks}
-                count = len(traces) if include_empty else len(traces) - (0 in traces)
-                if count > best:
-                    best, best_mask = count, s
-                    if best >= ceiling:
-                        return True
-            return False
-        for p in range(start, n - left + 1):
-            child = smask | singles[p]
-            reach = child | (full >> (p + 1) << (p + 1))
-            if _partition_bound(masks, child, reach, left - 1, include_empty) <= best:
-                continue
-            if search(depth + 1, p + 1, child):
-                return True
+        for combo in combinations(singles[start:], left):
+            s = smask + sum(combo)
+            traces = {em & s for em in masks}
+            count = len(traces) if include_empty else len(traces) - (0 in traces)
+            if count > best:
+                best, best_mask = count, s
+                if best >= ceiling:
+                    return True
         return False
 
-    search(0, 0, 0)
+    # An explicit stack of picks, so the depth does not grow with k.
+    picks: list[int] = []
+    smask = p = 0
+    while True:
+        left = k - len(picks)
+        if left > 1 and p < n - left:
+            child = smask | singles[p]
+            reach = child | (full >> (p + 1) << (p + 1))
+            if reaches(masks, child, reach, left - 1, include_empty, best + 1):
+                picks.append(p)
+                smask = child
+            p += 1
+            continue
+        # One pick left, or only the k-set taking every position from p on.
+        if leaf(p, smask, left) or not picks:
+            break
+        p = picks.pop()
+        smask ^= singles[p]
+        p += 1
+
     verts = H.vertex_list
     result = (best, tuple(verts[p] for p in bits(best_mask)))
     H.trace_memo[key] = result
     return result
 
 
-def _partition_bound(
-    masks: tuple[int, ...], smask: int, reach: int, left: int, include_empty: bool
-) -> int:
-    """Most traces a k-set can carry that adds ``left`` vertices to ``smask``,
-    all taken from ``reach``.
+def reaches(
+    masks: Sequence[int], smask: int, reach: int, left: int, include_empty: bool, target: int
+) -> bool:
+    """Whether some completion of ``smask`` by ``left`` positions from
+    ``reach`` may carry ``target`` distinct traces of ``masks`` (nonempty
+    ones unless ``include_empty``).  A no is certain, a yes may be hopeful.
 
-    Edges that agree on ``reach`` end with one trace.  Edges that agree on
-    ``smask`` split into at most ``2^left`` traces, one per pattern on the
-    added vertices; edges apart on ``smask`` stay apart.  The group with the
-    empty trace on ``smask`` yields at most ``2^left - 1`` nonempty traces.
+    Every trace lies inside ``reach``, so masks that agree there end with
+    one trace, and without the empty trace a mask that misses ``reach``
+    counts for none.  Masks that agree on ``smask`` split into at most
+    ``2^left`` traces, one per pattern on the added positions, masks apart
+    on ``smask`` stay apart, and the group that is empty on ``smask``
+    yields at most ``2^left - 1`` nonempty traces.  While ``2^left``
+    exceeds the number of values on ``reach``, no group meets that cap, so
+    the answer is yes at once, as it is for a ``target`` of 0, which the
+    trace search asks before it has counted any k-set.
     """
-    groups = Counter(em & smask for em in {em & reach for em in masks})
+    if target <= 0:
+        return True
+    on_reach = {m & reach for m in masks}
+    if not include_empty:
+        on_reach.discard(0)
+    if len(on_reach) < target:
+        return False
     cap = 1 << left
-    bound = sum(min(c, cap) for c in groups.values())
+    if cap > len(on_reach):
+        return True
+    groups = Counter(v & smask for v in on_reach)
+    bound = len(on_reach) - sum(c - cap for c in groups.values() if c > cap)
     if not include_empty and groups[0] >= cap:
         bound -= 1
-    return bound
+    return bound >= target
 
 
 def trace_value(H: Hypergraph, j: int) -> tuple[int, str]:

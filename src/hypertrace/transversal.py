@@ -9,17 +9,15 @@ exceeding that minimum, where T_j is the trace function at size j (or its
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb
 
-from .bitset import bits
 from .degeneracy import reduced_degeneracy
 from .errors import BudgetExceededError, MultiEdgeError
-from .hypergraph import Hypergraph
-from .trace import J_MAX, SUBSET_BUDGET_DEFAULT, trace_value
+from .hypergraph import Hypergraph, bits
+from .trace import J_MAX, SUBSET_BUDGET_DEFAULT, reaches, trace_value
 
 
 @dataclass(frozen=True)
@@ -75,11 +73,12 @@ def separating_set(
     vertex).  With ``selected_exempt`` the row of a selected position
     needs no label, which is how LD differs.  Sizes ascend from the floor
     where s positions can give 2^s - 1 labels; within a size, ``_search``
-    walks the sets depth-first in lexicographic order and cuts a prefix
-    after each pick when ``_can_separate`` rules out every completion.
+    walks the sets depth-first in lexicographic order and, after every
+    pick but the last, cuts a prefix when ``reaches`` finds that no
+    completion gives the rows ``len(rows)`` distinct nonempty labels.
     With ``selected_exempt`` only the rows that can no longer be selected
-    (positions up to the last pick, outside the picks) are bounded.  Both
-    cuts are sound, so the witness is still the first minimum set.
+    (positions up to the last pick, outside the picks) are asked about.
+    The cut is sound, so the witness is still the first minimum set.
 
     The budget keeps its plain meaning: a set's rank in the size-ascending
     enumeration of every candidate.  A skipped prefix is charged its
@@ -139,7 +138,7 @@ def _search(
                 needy = [row for x, row in enumerate(rows[: p + 1]) if not child >> x & 1]
             else:
                 needy = rows
-            if _can_separate(needy, child, reach, left - 1):
+            if reaches(needy, child, reach, left - 1, False, len(needy)):
                 found = visit(child, p + 1, left - 1)
                 if found is not None:
                     return found
@@ -161,35 +160,10 @@ def _search(
     raise AssertionError("the full position set must separate every row")
 
 
-def _can_separate(rows: Sequence[int], smask: int, reach: int, left: int) -> bool:
-    """False when no ``left`` more positions from ``reach`` outside ``smask``
-    can give ``rows`` nonempty, pairwise distinct labels.
-
-    reach: every label lies inside ``reach``, so rows must already be
-    nonempty and pairwise distinct there.  groups: rows sharing a label on
-    ``smask`` differ only on the added positions, which give at most
-    ``2^left`` patterns, and rows with the empty label need a nonempty one,
-    so at most ``2^left - 1`` of them.
-    """
-    on_reach = {row & reach for row in rows}
-    if len(on_reach) < len(rows) or 0 in on_reach:
-        return False
-    cap = 1 << left
-    if cap > len(rows):
-        return True
-    groups = Counter(row & smask for row in rows)
-    return max(groups.values()) <= cap and groups[0] < cap
-
-
 def is_distinguishing_transversal(H: Hypergraph, subset) -> bool:
     """True iff all edge traces on ``subset`` are nonempty and pairwise distinct."""
     _require_simple(H)
-    s = H.normalize_subset(subset)
-    pos = H.vertex_pos
-    smask = 0
-    for v in s:
-        smask |= 1 << pos[v]
-    return _separates(H.edge_masks, smask, selected_exempt=False)
+    return _separates(H.edge_masks, H.mask(subset), selected_exempt=False)
 
 
 def dt_exact(H: Hypergraph, subset_budget: int = SUBSET_BUDGET_DEFAULT) -> DtResult:

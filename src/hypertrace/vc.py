@@ -39,15 +39,12 @@ def is_shattered(H: Hypergraph, subset) -> bool:
     The empty subset must be realized by an actual edge disjoint from
     ``subset``; it is not granted vacuously.
     """
-    s = H.normalize_subset(subset)
-    if len(s) > SHATTER_SIZE_CAP:
+    smask = H.mask(subset)
+    size = smask.bit_count()
+    if size > SHATTER_SIZE_CAP:
         raise BudgetExceededError(f"shattering test capped at {SHATTER_SIZE_CAP} vertices")
-    pos = H.vertex_pos
-    smask = 0
-    for v in s:
-        smask |= 1 << pos[v]
     # All traces are submasks of S, so S is shattered iff all 2^|S| appear.
-    return len({em & smask for em in H.distinct_masks}) == 1 << len(s)
+    return len({em & smask for em in H.distinct_masks}) == 1 << size
 
 
 def vc_upper_bound(H: Hypergraph) -> int:

@@ -167,6 +167,20 @@ def test_reduced_is_exact_above_eighteen_vertices(build, budget):
         assert item["exactness"] == "exact" and item["low"] == item["high"]
 
 
+
+def test_report_on_thousands_of_vertices():
+    # A report always asks for T_n; on a 1,500-vertex path its search makes
+    # 1,500 picks, more than Python's default recursion limit of 1,000 frames.
+    n = 1500
+    report = run_report(build_hypergraph(n, [{i, i + 1} for i in range(n - 1)]))
+    doc = report.to_dict()
+    validate_report(doc)
+    assert all(c["passed"] for c in doc["checks"])
+    top = doc["results"]["trace"][-1]
+    assert top["k"] == n
+    assert top["exact"] == {"value": n - 1, "exactness": "exact"}
+    assert top["witness"] == list(range(n))
+
 def test_failed_check_flips_exit_code(p4):
     report = run_report(p4)
     assert report.exit_code == 0

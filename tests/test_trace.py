@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -16,6 +17,7 @@ from hypertrace import (
     vc_exact,
 )
 from hypertrace.errors import BudgetExceededError, MultiEdgeError
+from hypertrace.trace import reaches
 from oracles import brute_trace_function
 
 
@@ -111,6 +113,60 @@ def test_exact_stops_at_the_ceiling():
     assert len(witness) == 11
     assert masks.scans <= 64
 
+
+def test_reaches_is_sound():
+    # Masks over 6 positions, reach inside the first 5, so some masks miss
+    # reach; 0 and repeated masks are drawn too.  Every prefix smask of every
+    # reach, every left and both modes: whenever some completion carries
+    # target traces, or separates the masks as rows, the predicate says yes.
+    rng = random.Random(2020)
+    for _ in range(40):
+        masks = [rng.choice([0, rng.randrange(64), rng.randrange(64)]) for _ in range(rng.randint(1, 8))]
+        for reach in range(32):
+            smask = reach
+            while True:
+                free = [1 << p for p in range(5) if (reach & ~smask) >> p & 1]
+                for left in range(len(free) + 1):
+                    completions = [smask | sum(c) for c in combinations(free, left)]
+                    for include_empty in (False, True):
+                        best = 0
+                        for s in completions:
+                            traces = {m & s for m in masks}
+                            best = max(best, len(traces) - (not include_empty and 0 in traces))
+                        for target in range(best + 1):
+                            assert reaches(masks, smask, reach, left, include_empty, target), (
+                                masks, smask, reach, left, include_empty, target
+                            )
+                    separated = any(
+                        len({m & s for m in masks} - {0}) == len(masks) for s in completions
+                    )
+                    if separated:
+                        assert reaches(masks, smask, reach, left, False, len(masks))
+                if smask == 0:
+                    break
+                smask = (smask - 1) & reach
+
+
+def test_reaches_drops_the_edges_that_miss_reach():
+    # {2} misses reach = {0, 1}, so without the empty trace it counts for
+    # none: the best completion, {0, 1}, carries the 2 nonempty traces {0}
+    # and {0, 1}.  Kept as a value 0 on reach it would enter the group bound
+    # 2 + 1 = 3 and leave target 3 open.
+    masks = (0b001, 0b011, 0b100)
+    assert not reaches(masks, 0b001, 0b011, 1, False, 3)
+    assert reaches(masks, 0b001, 0b011, 1, False, 2)
+    assert reaches(masks, 0b001, 0b011, 1, True, 3)
+
+
+
+def test_large_k_runs_past_the_recursion_limit():
+    # A path on 1,500 vertices: T_n and T_{n-1} search with as many picks as
+    # vertices, more than Python's default recursion limit of 1,000 frames.
+    n = 1500
+    H = build_hypergraph(n, [{i, i + 1} for i in range(n - 1)])
+    assert trace_function_exact(H, n) == (n - 1, tuple(range(n)))
+    assert trace_function_exact(H, n - 1) == (n - 1, tuple(range(n - 1)))
+    assert trace_function_exact(H, n - 1, include_empty=True) == (n - 1, tuple(range(n - 1)))
 
 def test_sauer_shelah_values():
     assert sauer_shelah_bound(1, 2) == 3

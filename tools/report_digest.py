@@ -1,0 +1,73 @@
+"""Print one sha256 over the reports of a fixed, seeded corpus.
+
+    PYTHONPATH=src python3 tools/report_digest.py
+
+Run it at two commits: a refactor that keeps every report byte-identical
+prints the same digest at both.  The corpus is 160 instances, each
+analysed at subset budgets 50, 2,000 and the default: G(n, p) graphs,
+random trees, and hypergraphs that are plain, multi-edge, carry empty
+edges, or are restrictions whose vertex ids are not a dense range.  Each
+report adds ``to_json(include_timings=False)`` and its exit code to the
+hash.  Uses only the standard library and ``hypertrace``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+import warnings
+
+from hypertrace import (
+    Budgets,
+    Hypergraph,
+    random_gnp,
+    random_hypergraph,
+    random_tree,
+    restriction,
+    run_report,
+)
+
+BUDGETS = (Budgets(50), Budgets(2_000), Budgets())
+
+
+def _hypergraphs(seed: int):
+    """Four hypergraphs from one seed: plain, multi-edge, with empty edges,
+    and a restriction of the plain one to a random half of its vertices."""
+    rng = random.Random(seed)
+    n = rng.randint(6, 13)
+    plain = random_hypergraph(n, rng.randint(n, 3 * n), max_edge_size=4, seed=rng)
+    multi = random_hypergraph(n, rng.randint(n, 2 * n), max_edge_size=3, seed=rng, allow_multi=True)
+    edges = list(multi.edges) + [frozenset()] * rng.randint(1, 2)
+    rng.shuffle(edges)
+    empty = Hypergraph(multi.vertices, tuple(edges), allow_multi=True)
+    half = rng.sample(range(n), n // 2 + 1)
+    return [plain, multi, empty, restriction(plain, half)]
+
+
+def corpus():
+    """The 160 seeded instances, in a fixed order."""
+    for seed in range(40):
+        rng = random.Random(1000 + seed)
+        yield random_gnp(rng.randint(8, 18), rng.choice((0.2, 0.3, 0.5)), seed=rng)
+    for seed in range(32):
+        yield random_tree(3 + seed % 18, seed=2000 + seed)
+    for seed in range(22):
+        yield from _hypergraphs(3000 + seed)
+
+
+def main() -> None:
+    digest = hashlib.sha256()
+    reports = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for instance in corpus():
+            for budgets in BUDGETS:
+                report = run_report(instance, budgets=budgets)
+                digest.update(report.to_json(include_timings=False).encode())
+                digest.update(f"\nexit {report.exit_code}\n".encode())
+                reports += 1
+    print(f"{digest.hexdigest()}  {reports} reports")
+
+
+if __name__ == "__main__":
+    main()
