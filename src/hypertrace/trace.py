@@ -11,9 +11,8 @@ min(|E|, k+1).  The binomial-sum bound driven by VC dimension is
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from .degeneracy import reduced_degeneracy
@@ -38,16 +37,12 @@ def trace_function_exact(
 
     Counts nonempty traces unless ``include_empty`` is set.  Ties among
     maximizing subsets break to the lexicographically first witness.  The
-    search is a lexicographic depth-first search over vertex positions.  It
-    stops at the first k-set whose count reaches the ceiling (the distinct
-    edge count, or ``2^k``; without the empty trace, the distinct nonempty
-    edge count or ``2^k - 1``), and after every pick but the last it skips
-    a prefix unless ``reaches`` grants it one trace more than the best
-    count so far; where a single completion is left, every position from
-    the next pick on, it counts that k-set instead.  Only a strictly
-    larger count replaces the witness, so neither cut can change it.  The
-    picks live on an explicit stack, so the search does not recurse once
-    per pick and any k up to ``H.n`` runs on thousands of vertices.
+    search counts the k-sets ``walk`` yields and stops at the first whose
+    count reaches the ceiling (the distinct edge count, or ``2^k``; without
+    the empty trace, the distinct nonempty edge count or ``2^k - 1``).  Its
+    cut skips a prefix unless ``reaches`` grants it one trace more than the
+    best count so far.  Only a strictly larger count replaces the witness,
+    so neither cut can change it.
     Refuses instances whose C(n, k) exceeds ``subset_budget``, whether or
     not the value is already in ``H.trace_memo``; otherwise each value is
     enumerated once per hypergraph and then served from the memo.
@@ -63,9 +58,6 @@ def trace_function_exact(
     if key in H.trace_memo:
         return H.trace_memo[key]
     masks = H.distinct_masks
-    n = H.n
-    full = (1 << n) - 1
-    singles = [1 << p for p in range(n)]
     if include_empty:
         ceiling = min(len(masks), 1 << k)
     else:
@@ -73,45 +65,57 @@ def trace_function_exact(
     best = -1
     best_mask = 0
 
-    def leaf(start: int, smask: int, left: int) -> bool:
-        """Count every k-set that adds ``left`` positions from ``start`` on
-        to ``smask``, in lexicographic order; True once ``best`` reaches
-        the ceiling."""
-        nonlocal best, best_mask
-        for combo in combinations(singles[start:], left):
-            s = smask + sum(combo)
-            traces = {em & s for em in masks}
-            count = len(traces) if include_empty else len(traces) - (0 in traces)
-            if count > best:
-                best, best_mask = count, s
-                if best >= ceiling:
-                    return True
-        return False
+    def keep(prefix: int, reach: int, p: int, left: int) -> bool:
+        return reaches(masks, prefix, reach, left, include_empty, best + 1)
 
-    # An explicit stack of picks, so the depth does not grow with k.
-    picks: list[int] = []
-    smask = p = 0
-    while True:
-        left = k - len(picks)
-        if left > 1 and p < n - left:
-            child = smask | singles[p]
-            reach = child | (full >> (p + 1) << (p + 1))
-            if reaches(masks, child, reach, left - 1, include_empty, best + 1):
-                picks.append(p)
-                smask = child
-            p += 1
-            continue
-        # One pick left, or only the k-set taking every position from p on.
-        if leaf(p, smask, left) or not picks:
-            break
-        p = picks.pop()
-        smask ^= singles[p]
-        p += 1
+    for s in walk(H.n, k, keep):
+        traces = {em & s for em in masks}
+        count = len(traces) if include_empty else len(traces) - (0 in traces)
+        if count > best:
+            best, best_mask = count, s
+            if best >= ceiling:
+                break
 
     verts = H.vertex_list
     result = (best, tuple(verts[p] for p in bits(best_mask)))
     H.trace_memo[key] = result
     return result
+
+
+def walk(n: int, k: int, keep: Callable[[int, int, int, int], bool]) -> Iterator[int]:
+    """Yield the masks of the k-sets of positions ``0..n-1``, ``0 <= k <=
+    n``, in lexicographic order, skipping the prefixes ``keep`` refuses.
+
+    After every pick but the last, and only while more than one completion
+    is left, ``keep(prefix, reach, p, left)`` is asked about the prefix
+    whose last pick is ``p``: ``reach`` adds every position after ``p``
+    and ``left`` picks remain.  A refused prefix drops its C(n - p - 1,
+    left) completions.  The picks live on an explicit stack, so the depth
+    does not grow with k and any k runs on thousands of positions.
+    """
+    full = (1 << n) - 1
+    picks: list[int] = []
+    smask = p = 0
+    while True:
+        left = k - len(picks)
+        if left > 1 and p < n - left:
+            child = smask | 1 << p
+            if keep(child, child | full >> (p + 1) << (p + 1), p, left - 1):
+                picks.append(p)
+                smask = child
+            p += 1
+            continue
+        if left == 1:
+            for q in range(p, n):
+                yield smask | 1 << q
+        else:
+            # The single completion: every position from n - left on.
+            yield smask | full >> (n - left) << (n - left)
+        if not picks:
+            return
+        p = picks.pop()
+        smask ^= 1 << p
+        p += 1
 
 
 def reaches(

@@ -17,7 +17,7 @@ from math import ceil, comb
 from .degeneracy import reduced_degeneracy
 from .errors import BudgetExceededError, MultiEdgeError
 from .hypergraph import Hypergraph, bits
-from .trace import J_MAX, SUBSET_BUDGET_DEFAULT, reaches, trace_value
+from .trace import J_MAX, SUBSET_BUDGET_DEFAULT, reaches, trace_value, walk
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,9 @@ def separating_set(
     vertex).  With ``selected_exempt`` the row of a selected position
     needs no label, which is how LD differs.  Sizes ascend from the floor
     where s positions can give 2^s - 1 labels; within a size, ``_search``
-    walks the sets depth-first in lexicographic order and, after every
-    pick but the last, cuts a prefix when ``reaches`` finds that no
-    completion gives the rows ``len(rows)`` distinct nonempty labels.
+    tests the sets ``walk`` yields in lexicographic order, and its cut
+    skips a prefix when ``reaches`` finds that no completion gives the
+    rows ``len(rows)`` distinct nonempty labels.
     With ``selected_exempt`` only the rows that can no longer be selected
     (positions up to the last pick, outside the picks) are asked about.
     The cut is sound, so the witness is still the first minimum set.
@@ -113,7 +113,6 @@ def _search(
     prefix cut after its pick at position p, with r picks left, counts its
     C(n - p - 1, r) completions.
     """
-    full = (1 << n) - 1
     examined = 0
 
     def charge(count: int) -> None:
@@ -122,41 +121,25 @@ def _search(
         if examined > budget:
             raise BudgetExceededError(f"{search} search budget exceeded", budget=budget)
 
-    def visit(smask: int, first: int, left: int) -> int | None:
-        """Mask of the first separating set that adds ``left`` positions
-        from ``first`` on to ``smask``, or None."""
-        for p in range(first, n - left + 1):
-            child = smask | 1 << p
-            if left == 1:
-                charge(1)
-                if _separates(rows, child, selected_exempt):
-                    return child
-                continue
-            reach = child | (full >> (p + 1) << (p + 1))
-            if selected_exempt:
-                # Only rows at or before p outside the picks keep needing a label.
-                needy = [row for x, row in enumerate(rows[: p + 1]) if not child >> x & 1]
-            else:
-                needy = rows
-            if reaches(needy, child, reach, left - 1, False, len(needy)):
-                found = visit(child, p + 1, left - 1)
-                if found is not None:
-                    return found
-            else:
-                charge(comb(n - p - 1, left - 1))
-        return None
+    def keep(prefix: int, reach: int, p: int, left: int) -> bool:
+        if selected_exempt:
+            # Only rows at or before p outside the picks keep needing a label.
+            needy = [row for x, row in enumerate(rows[: p + 1]) if not prefix >> x & 1]
+        else:
+            needy = rows
+        if reaches(needy, prefix, reach, left, False, len(needy)):
+            return True
+        charge(comb(n - p - 1, left))
+        return False
 
     start = next(
         s for s in range(n + 1) if (1 << s) - 1 >= len(rows) - (s if selected_exempt else 0)
     )
     for size in range(start, n + 1):
-        if size == 0:
+        for smask in walk(n, size, keep):
             charge(1)
-            found = 0 if _separates(rows, 0, selected_exempt) else None
-        else:
-            found = visit(0, 0, size)
-        if found is not None:
-            return tuple(bits(found)), examined
+            if _separates(rows, smask, selected_exempt):
+                return tuple(bits(smask)), examined
     raise AssertionError("the full position set must separate every row")
 
 

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -17,7 +18,7 @@ from hypertrace import (
     vc_exact,
 )
 from hypertrace.errors import BudgetExceededError, MultiEdgeError
-from hypertrace.trace import reaches
+from hypertrace.trace import reaches, walk
 from oracles import brute_trace_function
 
 
@@ -157,6 +158,37 @@ def test_reaches_drops_the_edges_that_miss_reach():
     assert reaches(masks, 0b001, 0b011, 1, False, 2)
     assert reaches(masks, 0b001, 0b011, 1, True, 3)
 
+
+
+def test_walk_yields_the_k_sets_no_refused_prefix_leads_to():
+    # With every prefix kept, walk is combinations(range(n), k) as masks.
+    # With a seeded random keep it yields exactly the k-sets whose picks up
+    # to p differ from every refused prefix ending at p, in the same order,
+    # and keep is asked only while more than one completion is left.
+    rng = random.Random(11)
+    for n in range(8):
+        for k in range(n + 1):
+            every = [sum(1 << p for p in c) for c in combinations(range(n), k)]
+            assert list(walk(n, k, lambda *_: True)) == every
+            for _ in range(5):
+                refused = []
+
+                def keep(prefix, reach, p, left):
+                    assert prefix.bit_length() == p + 1
+                    assert reach == prefix | ((1 << n) - 1) >> (p + 1) << (p + 1)
+                    assert left == k - prefix.bit_count() >= 1
+                    assert comb(n - p - 1, left) > 1
+                    if rng.random() < 0.3:
+                        refused.append((prefix, p))
+                        return False
+                    return True
+
+                got = list(walk(n, k, keep))
+                want = [
+                    s for s in every
+                    if not any(s & ((2 << p) - 1) == prefix for prefix, p in refused)
+                ]
+                assert got == want, (n, k, refused)
 
 
 def test_large_k_runs_past_the_recursion_limit():

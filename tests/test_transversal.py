@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, log2
@@ -246,3 +247,21 @@ def test_skip_is_remembered_per_budget(monkeypatch):
         gamma_exact(G, "ID", subset_budget=999)
     assert gamma_exact(G, "ID", subset_budget=10**7).exact == dt_exact(closed).value
     assert [args[2] for args in searches if args[0] is closed.edge_masks] == [1000, 10**7]
+
+
+def test_dt_runs_past_a_low_recursion_limit():
+    """80 singleton edges: DT is every vertex, so the last size searched has
+    80 picks.  The search keeps no frame per pick, so it finishes under a
+    recursion limit a few dozen frames above this test's own depth."""
+    H = build_hypergraph(80, [{i} for i in range(80)])
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        result = dt_exact(H, subset_budget=10**40)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.value == 80
+    assert result.witness == tuple(range(80))

@@ -3,10 +3,12 @@
     PYTHONPATH=src python3 tools/report_digest.py
 
 Run it at two commits: a refactor that keeps every report byte-identical
-prints the same digest at both.  The corpus is 160 instances, each
+prints the same digest at both.  The corpus is 161 instances, each
 analysed at subset budgets 50, 2,000 and the default: G(n, p) graphs,
-random trees, and hypergraphs that are plain, multi-edge, carry empty
-edges, or are restrictions whose vertex ids are not a dense range.  Each
+random trees, hypergraphs that are plain, multi-edge, carry empty edges,
+or are restrictions whose vertex ids are not a dense range, and a path
+on 1,500 vertices, so a fault that shows only on a large instance
+changes the digest or crashes the run.  Each
 report adds ``to_json(include_timings=False)`` and its exit code to the
 hash.  Uses only the standard library and ``hypertrace``.
 """
@@ -20,6 +22,7 @@ import warnings
 from hypertrace import (
     Budgets,
     Hypergraph,
+    build_hypergraph,
     random_gnp,
     random_hypergraph,
     random_tree,
@@ -45,7 +48,7 @@ def _hypergraphs(seed: int):
 
 
 def corpus():
-    """The 160 seeded instances, in a fixed order."""
+    """The 161 instances, in a fixed order."""
     for seed in range(40):
         rng = random.Random(1000 + seed)
         yield random_gnp(rng.randint(8, 18), rng.choice((0.2, 0.3, 0.5)), seed=rng)
@@ -53,6 +56,7 @@ def corpus():
         yield random_tree(3 + seed % 18, seed=2000 + seed)
     for seed in range(22):
         yield from _hypergraphs(3000 + seed)
+    yield build_hypergraph(1500, [[i, i + 1] for i in range(1499)])
 
 
 def main() -> None:
