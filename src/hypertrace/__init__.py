@@ -5,10 +5,8 @@ __version__ = "0.1.0"
 from .degeneracy import (
     DegeneracyTriple,
     PeelResult,
-    degeneracy_oracle,
     peel_degeneracy,
     peel_pseudo_degeneracy,
-    pseudo_degeneracy_oracle,
     reduced_degeneracy,
 )
 from .domination import (

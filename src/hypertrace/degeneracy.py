@@ -27,10 +27,8 @@ from functools import reduce
 from heapq import heapify, heappop, heappush
 from operator import xor
 
-from .errors import BudgetExceededError
-from .hypergraph import Hypergraph, bits
+from .hypergraph import Hypergraph
 
-ORACLE_VERTEX_CAP = 20
 # The classic peel hashes a trace as the XOR of per-vertex random keys of
 # this width, drawn from one shared source.  Keys of one 30-bit digit keep
 # the hash arithmetic on single-digit ints; the collisions this allows are
@@ -70,21 +68,6 @@ class DegeneracyTriple:
         return self.classic
 
 
-def _chain_match(
-    chain: list[int], cid: int, live: list[int], edges: tuple[frozenset[int], ...], removed: bytearray
-) -> bool:
-    """Whether a class in a hash-collision chain carries the trace of ``cid``.
-
-    Two classes carry the same trace when their live counts are equal and
-    every vertex of one original edge outside the other is removed.  A class
-    not yet re-keyed for the vertex just removed still counts it, so it never
-    passes.  The peel loop writes the same test out for a single occupant,
-    since a call per hash hit costs a measurable share on small hypergraphs.
-    """
-    c, e = live[cid], edges[cid]
-    return any(live[o] == c and all(map(removed.__getitem__, e - edges[o])) for o in chain)
-
-
 def peel_degeneracy(H: Hypergraph) -> PeelResult:
     """Classic degeneracy by peeling with trace deduplication.
 
@@ -100,9 +83,6 @@ def peel_degeneracy(H: Hypergraph) -> PeelResult:
     """
     verts = H.vertex_list
     n = len(verts)
-    if n == 0:
-        return PeelResult((), (), 0)
-
     edges, edge_ids = H.incidence
     draw = _KEY_SOURCE.getrandbits
     key = [draw(HASH_KEY_BITS) for _ in range(n)]
@@ -116,7 +96,6 @@ def peel_degeneracy(H: Hypergraph) -> PeelResult:
     for cid, h in enumerate(thash):
         slot = buckets.setdefault(h, cid)
         if slot != cid:
-            # Hash collision between distinct initial traces: chain.
             if type(slot) is list:
                 slot.append(cid)
             else:
@@ -149,28 +128,33 @@ def peel_degeneracy(H: Hypergraph) -> PeelResult:
             if type(slot) is list:
                 slot.remove(cid)
                 if slot:
-                    buckets[oldh] = slot[0] if len(slot) == 1 else slot
-            live[cid] = c - 1
-            if c == 1:
+                    buckets[oldh] = slot
+            live[cid] = c = c - 1
+            if not c:
                 continue
             newh = oldh ^ kv
             occupant = buckets.setdefault(newh, cid)
             if occupant == cid:
                 thash[cid] = newh
                 continue
-            if type(occupant) is list:
-                same = _chain_match(occupant, cid, live, edges, removed)
-            else:
-                same = live[occupant] == c - 1
-                if same:
-                    for u in edges[cid] - edges[occupant]:
+            # Two classes carry the same trace when their live counts are
+            # equal and every vertex of one original edge outside the other
+            # is removed.  A class not yet re-keyed for the vertex just
+            # removed still counts it, so it never passes.
+            e = edges[cid]
+            same = False
+            for o in occupant if type(occupant) is list else (occupant,):
+                if live[o] == c:
+                    for u in e - edges[o]:
                         if not removed[u]:
-                            same = False
                             break
+                    else:
+                        same = True
+                        break
             if same:
-                # Two classes now carry the same trace: the survivors lose one.
+                # The survivors lose one class.
                 live[cid] = 0
-                for u in edges[cid]:
+                for u in e:
                     if not removed[u]:
                         du = deg[u] = deg[u] - 1
                         push(heap, du * n + u)
@@ -192,9 +176,6 @@ def peel_pseudo_degeneracy(H: Hypergraph) -> PeelResult:
     """
     verts = H.vertex_list
     n = len(verts)
-    if n == 0:
-        return PeelResult((), (), 0)
-
     edges, edge_ids = H.incidence
     deg = list(map(len, edge_ids))
     alive = bytearray(b"\x01") * len(edges)
@@ -220,55 +201,6 @@ def peel_pseudo_degeneracy(H: Hypergraph) -> PeelResult:
                         du = deg[u] = deg[u] - 1
                         push(heap, du * n + u)
     return PeelResult(tuple(order), tuple(seq), max(seq, default=0))
-
-
-def degeneracy_oracle(H: Hypergraph) -> int:
-    """Largest minimum degree over all restrictions, by full enumeration.
-
-    Exponential reference implementation used to validate the peeling
-    engines; refuses anything above a hard vertex cap.
-    """
-    n = H.n
-    if n > ORACLE_VERTEX_CAP:
-        raise BudgetExceededError(f"oracle capped at {ORACLE_VERTEX_CAP} vertices", needed=n)
-    masks = H.distinct_masks
-    best = 0
-    for smask in range(1, 1 << n):
-        traces = {em & smask for em in masks}
-        traces.discard(0)
-        if len(traces) <= best:
-            continue
-        union = 0
-        for t in traces:
-            union |= t
-        if union != smask:
-            continue  # some vertex of S has degree 0
-        mind = min(sum(1 for t in traces if t >> v & 1) for v in bits(smask))
-        if mind > best:
-            best = mind
-    return best
-
-
-def pseudo_degeneracy_oracle(H: Hypergraph) -> int:
-    """Largest minimum degree over all pseudo induced subhypergraphs."""
-    n = H.n
-    if n > ORACLE_VERTEX_CAP:
-        raise BudgetExceededError(f"oracle capped at {ORACLE_VERTEX_CAP} vertices", needed=n)
-    masks = [em for em in H.distinct_masks if em]
-    best = 0
-    for smask in range(1, 1 << n):
-        kept = [em for em in masks if em & smask == em]
-        if len(kept) <= best:
-            continue
-        union = 0
-        for t in kept:
-            union |= t
-        if union != smask:
-            continue
-        mind = min(sum(1 for t in kept if t >> v & 1) for v in bits(smask))
-        if mind > best:
-            best = mind
-    return best
 
 
 def reduced_degeneracy(H: Hypergraph) -> DegeneracyTriple:

@@ -45,6 +45,28 @@ def brute_restriction_edges(H: Hypergraph, S):
     return {e & S for e in H.edges if e & S}
 
 
+def brute_degeneracy(H: Hypergraph) -> int:
+    """Classic degeneracy: the largest minimum degree over all restrictions."""
+    best = 0
+    for S in subsets(H.vertices):
+        traces = brute_restriction_edges(H, S)
+        if len(traces) > best:
+            best = max(best, min(sum(1 for t in traces if v in t) for v in S))
+    return best
+
+
+def brute_pseudo_degeneracy(H: Hypergraph) -> int:
+    """Pseudo degeneracy: the largest minimum degree over all pseudo induced
+    subhypergraphs, whose edges are the nonempty edges inside S."""
+    edges = {e for e in H.edges if e}
+    best = 0
+    for S in map(frozenset, subsets(H.vertices)):
+        kept = [e for e in edges if e <= S]
+        if len(kept) > best:
+            best = max(best, min(sum(1 for e in kept if v in e) for v in S))
+    return best
+
+
 def brute_pseudo_peel_order(vertices, edges):
     """(order, degree sequence) of the pseudo peel: remove the lowest-id
     vertex of minimum degree with every edge on it."""

@@ -19,7 +19,6 @@ from hypertrace import (
     Graph,
     build_hypergraph,
     degeneracy_chain_bounds,
-    degeneracy_oracle,
     dt_exact,
     dt_lower_bounds,
     find_twins,
@@ -30,7 +29,6 @@ from hypertrace import (
     parse_hypergraph_text,
     peel_degeneracy,
     peel_pseudo_degeneracy,
-    pseudo_degeneracy_oracle,
     random_gnp,
     random_hypergraph,
     random_tree,
@@ -45,7 +43,7 @@ from hypertrace import (
     vc_upper_bound,
 )
 from hypertrace.bench import instance_for_weight, run_bench
-from oracles import brute_vc
+from oracles import brute_degeneracy, brute_pseudo_degeneracy, brute_vc
 
 
 def _report(num: int, name: str, ok: bool, extra: str = ""):
@@ -81,9 +79,9 @@ def test_criterion_1_degeneracy_oracle_equivalence():
     for H in _random_hypergraphs(500, seed=101, max_n=10, max_m=25):
         classic = peel_degeneracy(H).value
         pseudo = peel_pseudo_degeneracy(H).value
-        if classic != degeneracy_oracle(H):
+        if classic != brute_degeneracy(H):
             violations.append(("classic", H))
-        if pseudo != pseudo_degeneracy_oracle(H):
+        if pseudo != brute_pseudo_degeneracy(H):
             violations.append(("pseudo", H))
         triple = reduced_degeneracy(H)
         if triple.reduced != classic:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 
@@ -6,11 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from hypertrace import (
     build_hypergraph,
-    degeneracy_oracle,
     neighborhood_hypergraph,
     peel_degeneracy,
     peel_pseudo_degeneracy,
-    pseudo_degeneracy_oracle,
     pseudo_induced,
     random_gnp,
     random_tree,
@@ -19,9 +18,10 @@ from hypertrace import (
 )
 from hypertrace import degeneracy
 from hypertrace.bench import instance_for_weight
-from hypertrace.errors import BudgetExceededError
 from oracles import (
     brute_classic_peel,
+    brute_degeneracy,
+    brute_pseudo_degeneracy,
     brute_pseudo_peel,
     brute_pseudo_peel_order,
     brute_reduced,
@@ -81,16 +81,8 @@ def test_peel_single_vertex_single_edge():
 
 
 def test_oracle_triangle(tri):
-    assert degeneracy_oracle(tri) == 2
-    assert pseudo_degeneracy_oracle(tri) == 2
-
-
-def test_oracle_refuses_large():
-    H = build_hypergraph(21, [])
-    with pytest.raises(BudgetExceededError):
-        degeneracy_oracle(H)
-    with pytest.raises(BudgetExceededError):
-        pseudo_degeneracy_oracle(H)
+    assert brute_degeneracy(tri) == 2
+    assert brute_pseudo_degeneracy(tri) == 2
 
 
 def test_reduced_triangle(tri):
@@ -121,8 +113,8 @@ def test_multi_edges_do_not_inflate_degeneracy():
 @settings(max_examples=80, deadline=None)
 @given(hypergraphs())
 def test_peels_match_oracles(H):
-    assert peel_degeneracy(H).value == degeneracy_oracle(H)
-    assert peel_pseudo_degeneracy(H).value == pseudo_degeneracy_oracle(H)
+    assert peel_degeneracy(H).value == brute_degeneracy(H)
+    assert peel_pseudo_degeneracy(H).value == brute_pseudo_degeneracy(H)
 
 
 @settings(max_examples=60, deadline=None)
@@ -211,6 +203,22 @@ def test_classic_peel_under_hash_collisions(monkeypatch, bits):
         assert (got.order, got.degree_sequence) == brute_classic_peel(H)
 
 
+def test_peel_orders_match_golden_digests_at_scale(monkeypatch):
+    # sha256 of (order, degree_sequence) of the classic and the pseudo peel
+    # on instances too large for the frozenset replays.  The 2-bit keys put
+    # about 300 classes in 4 buckets, so chains of dozens of classes form.
+    def digest(result):
+        return hashlib.sha256(repr((result.order, result.degree_sequence)).encode()).hexdigest()
+
+    H = instance_for_weight(20_000, seed=3)
+    assert digest(peel_degeneracy(H)) == "334ac989142619ef676aebfbb2723864f8e311e70ea5441554c36135f80349e1"
+    assert digest(peel_pseudo_degeneracy(H)) == "a2a22f6659d4f94e70087655b9753b320d2d4c6bfdd9df9219968062954d8433"
+    monkeypatch.setattr(degeneracy, "HASH_KEY_BITS", 2)
+    H = instance_for_weight(2_000, seed=3)
+    assert digest(peel_degeneracy(H)) == "a79843b19d578254a44e3b09544450fd20172b632586a083bf073d6217d630e3"
+    assert digest(peel_pseudo_degeneracy(H)) == "d2a614871c3dc5eb71820a9e104a17f7757a9a6a1c864d7e29c36f45400cadc9"
+
+
 def test_peels_memory_at_100k_weight():
     H = instance_for_weight(100_000)
     tracemalloc.start()
@@ -228,7 +236,7 @@ def test_peels_memory_at_100k_weight():
 
 def _assert_reduced_is_classic(H):
     triple = reduced_degeneracy(H)
-    assert triple.reduced == triple.classic == degeneracy_oracle(H) == brute_reduced(H), H
+    assert triple.reduced == triple.classic == brute_degeneracy(H) == brute_reduced(H), H
     assert triple.pseudo <= triple.reduced
 
 
