@@ -41,8 +41,18 @@ def trace_function_exact(
     count reaches the ceiling (the distinct edge count, or ``2^k``; without
     the empty trace, the distinct nonempty edge count or ``2^k - 1``).  Its
     cut skips a prefix unless ``reaches`` grants it one trace more than the
-    best count so far.  Only a strictly larger count replaces the witness,
-    so neither cut can change it.
+    best count so far, and closes the prefix's node when its reach is short.
+    Once ``T_{k-1}`` is memoised, a k-set beats ``best`` only if each of its
+    vertices lies in at least ``best + 1 - T_{k-1}`` distinct edges (one
+    fewer with the empty trace): the traces that miss a vertex are traces
+    of the other k - 1, and at most its degree contain it.  So the search
+    skips every k-set with a vertex of lower degree: ``keep`` refuses a
+    prefix whose last pick is one, closes the node when an earlier pick is
+    one or too few later positions are not, and leaves them out of reach.
+    The with-empty value is ``T_k + 1`` with the nonempty witness ``W`` when
+    some edge misses ``W``: no k-set has more, and every earlier one has at
+    most ``T_k``.  Only a strictly larger count replaces the witness, so no
+    cut can change it.
     Refuses instances whose C(n, k) exceeds ``subset_budget``, whether or
     not the value is already in ``H.trace_memo``; otherwise each value is
     enumerated once per hypergraph and then served from the memo.
@@ -54,44 +64,73 @@ def trace_function_exact(
         raise BudgetExceededError(
             f"C({H.n},{k}) = {total} subsets exceed the budget", needed=total, budget=subset_budget
         )
+    memo = H.trace_memo
     key = (k, include_empty)
-    if key in H.trace_memo:
-        return H.trace_memo[key]
+    if key in memo:
+        return memo[key]
     masks = H.distinct_masks
+    if include_empty and (k, False) in memo:
+        value, witness = memo[(k, False)]
+        wmask = H.mask(witness)
+        if any(not em & wmask for em in masks):
+            memo[key] = result = (value + 1, witness)
+            return result
     if include_empty:
         ceiling = min(len(masks), 1 << k)
     else:
         ceiling = min(len(masks) - (0 in masks), (1 << k) - 1)
     best = -1
     best_mask = 0
+    # Once T_{k-1} is memoised, ``low`` holds the positions of too low a
+    # degree to be in a k-set that beats ``best``, and ``order`` the others,
+    # lowest degree last.
+    prior = memo.get((k - 1, False))
+    degrees = [len(ids) for ids in H.incidence.edge_ids] if prior else []
+    order = sorted(range(len(degrees)), key=degrees.__getitem__, reverse=True)
+    base = prior[0] + include_empty if prior else 0
+    low = 0
 
-    def keep(prefix: int, reach: int, p: int, left: int) -> bool:
+    def keep(prefix: int, reach: int, p: int, left: int) -> bool | None:
+        failing = prefix & low
+        if failing:
+            # Every later sibling keeps a failing earlier pick.
+            return None if failing ^ 1 << p else False
+        reach &= ~low
+        if (reach >> (p + 1)).bit_count() < left:
+            return None
         return reaches(masks, prefix, reach, left, include_empty, best + 1)
 
     for s in walk(H.n, k, keep):
+        if s & low:
+            continue
         traces = {em & s for em in masks}
         count = len(traces) if include_empty else len(traces) - (0 in traces)
         if count > best:
             best, best_mask = count, s
             if best >= ceiling:
                 break
+            while order and degrees[order[-1]] < best + 1 - base:
+                low |= 1 << order.pop()
 
     verts = H.vertex_list
     result = (best, tuple(verts[p] for p in bits(best_mask)))
-    H.trace_memo[key] = result
+    memo[key] = result
     return result
 
 
-def walk(n: int, k: int, keep: Callable[[int, int, int, int], bool]) -> Iterator[int]:
+def walk(n: int, k: int, keep: Callable[[int, int, int, int], bool | None]) -> Iterator[int]:
     """Yield the masks of the k-sets of positions ``0..n-1``, ``0 <= k <=
     n``, in lexicographic order, skipping the prefixes ``keep`` refuses.
 
     After every pick but the last, and only while more than one completion
     is left, ``keep(prefix, reach, p, left)`` is asked about the prefix
     whose last pick is ``p``: ``reach`` adds every position after ``p``
-    and ``left`` picks remain.  A refused prefix drops its C(n - p - 1,
-    left) completions.  The picks live on an explicit stack, so the depth
-    does not grow with k and any k runs on thousands of positions.
+    and ``left`` picks remain.  A refused prefix (a false answer) drops
+    its C(n - p - 1, left) completions.  ``None`` closes the prefix's node:
+    the prefix, every later sibling and the node's single completion are
+    dropped, C(n - p, left + 1) k-sets in all, and the walk backtracks.
+    The picks live on an explicit stack, so the depth does not grow with
+    k and any k runs on thousands of positions.
     """
     full = (1 << n) - 1
     picks: list[int] = []
@@ -100,12 +139,14 @@ def walk(n: int, k: int, keep: Callable[[int, int, int, int], bool]) -> Iterator
         left = k - len(picks)
         if left > 1 and p < n - left:
             child = smask | 1 << p
-            if keep(child, child | full >> (p + 1) << (p + 1), p, left - 1):
-                picks.append(p)
-                smask = child
-            p += 1
-            continue
-        if left == 1:
+            kept = keep(child, child | full >> (p + 1) << (p + 1), p, left - 1)
+            if kept is not None:
+                if kept:
+                    picks.append(p)
+                    smask = child
+                p += 1
+                continue
+        elif left == 1:
             for q in range(p, n):
                 yield smask | 1 << q
         else:
@@ -120,10 +161,13 @@ def walk(n: int, k: int, keep: Callable[[int, int, int, int], bool]) -> Iterator
 
 def reaches(
     masks: Sequence[int], smask: int, reach: int, left: int, include_empty: bool, target: int
-) -> bool:
+) -> bool | None:
     """Whether some completion of ``smask`` by ``left`` positions from
     ``reach`` may carry ``target`` distinct traces of ``masks`` (nonempty
     ones unless ``include_empty``).  A no is certain, a yes may be hopeful.
+    The no is ``None`` when ``reach`` itself carries fewer than ``target``
+    values: then so does every subset of it, so a caller whose later
+    prefixes have smaller reaches and no smaller target may close the node.
 
     Every trace lies inside ``reach``, so masks that agree there end with
     one trace, and without the empty trace a mask that misses ``reach``
@@ -141,7 +185,7 @@ def reaches(
     if not include_empty:
         on_reach.discard(0)
     if len(on_reach) < target:
-        return False
+        return None
     cap = 1 << left
     if cap > len(on_reach):
         return True

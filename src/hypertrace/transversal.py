@@ -111,7 +111,10 @@ def _search(
 
     Every candidate set is charged once: a tested set counts 1, and a
     prefix cut after its pick at position p, with r picks left, counts its
-    C(n - p - 1, r) completions.
+    C(n - p - 1, r) completions.  A short reach closes the walk's node, so
+    it counts C(n - p, r + 1): those completions, every later sibling's
+    and the node's single completion.  It is sound with LD's exempt rows
+    too, since a later sibling has a smaller reach and more needy rows.
     """
     examined = 0
 
@@ -121,16 +124,16 @@ def _search(
         if examined > budget:
             raise BudgetExceededError(f"{search} search budget exceeded", budget=budget)
 
-    def keep(prefix: int, reach: int, p: int, left: int) -> bool:
+    def keep(prefix: int, reach: int, p: int, left: int) -> bool | None:
         if selected_exempt:
             # Only rows at or before p outside the picks keep needing a label.
             needy = [row for x, row in enumerate(rows[: p + 1]) if not prefix >> x & 1]
         else:
             needy = rows
-        if reaches(needy, prefix, reach, left, False, len(needy)):
-            return True
-        charge(comb(n - p - 1, left))
-        return False
+        kept = reaches(needy, prefix, reach, left, False, len(needy))
+        if not kept:
+            charge(comb(n - p - 1, left) if kept is False else comb(n - p, left + 1))
+        return kept
 
     start = next(
         s for s in range(n + 1) if (1 << s) - 1 >= len(rows) - (s if selected_exempt else 0)

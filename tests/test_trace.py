@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from hypertrace import (
+    Hypergraph,
     build_hypergraph,
     degeneracy_chain_bounds,
     max_degree_bound,
@@ -17,7 +18,9 @@ from hypertrace import (
     trace_function_exact,
     vc_exact,
 )
+from hypertrace import trace
 from hypertrace.errors import BudgetExceededError, MultiEdgeError
+from hypertrace.generate import random_hypergraph, random_tree
 from hypertrace.trace import reaches, walk
 from oracles import brute_trace_function
 
@@ -103,6 +106,64 @@ def test_exact_value_and_witness_match_oracle():
                 assert got == brute_trace_function(H, k, include_empty), (H, k, include_empty)
 
 
+def test_exact_does_not_depend_on_call_order():
+    # The with-empty value is derived from a memoised nonempty one, and the
+    # degree cut needs T_{k-1} in the memo, so the same value and witness
+    # must come out whatever was asked before: on a fresh hypergraph per
+    # (k, include_empty), in ascending order, and in a shuffled order.
+    rng = random.Random(4096)
+    cases = []
+    for _ in range(40):
+        n = rng.randint(0, 9)
+        edges = [frozenset(rng.sample(range(n), rng.randint(0, n))) for _ in range(rng.randint(0, 14))]
+        edges += rng.sample(edges, min(len(edges), 2)) + [frozenset()] * rng.randint(0, 1)
+        cases.append(build_hypergraph(n, edges, allow_multi=True))
+    for _ in range(10):
+        G = random_gnp(rng.randint(1, 11), rng.choice([0.15, 0.3, 0.5]), seed=rng.randrange(10**9))
+        cases += [neighborhood_hypergraph(G, closed=True), neighborhood_hypergraph(G, closed=False)]
+    for H in cases:
+        keys = [(k, include_empty) for k in range(H.n + 1) for include_empty in (False, True)]
+        want = {key: brute_trace_function(H, *key) for key in keys}
+        for key in keys:
+            fresh = Hypergraph(H.vertices, H.edges, H.allow_multi)
+            assert trace_function_exact(fresh, *key) == want[key], (H.edges, key, "fresh")
+        ascending = Hypergraph(H.vertices, H.edges, H.allow_multi)
+        for key in keys:
+            assert trace_function_exact(ascending, *key) == want[key], (H.edges, key, "ascending")
+        shuffled = Hypergraph(H.vertices, H.edges, H.allow_multi)
+        rng.shuffle(keys)
+        for key in keys:
+            assert trace_function_exact(shuffled, *key) == want[key], (H.edges, key, keys)
+
+
+@pytest.mark.parametrize(
+    "build, k_empty, parent_calls, cut",
+    [
+        (lambda: random_hypergraph(14, 42, max_edge_size=6, seed=3), 7, 3_100, 0.25),
+        (lambda: neighborhood_hypergraph(random_gnp(16, 0.3, seed=1), closed=True), 8, 531, 0.50),
+        (lambda: neighborhood_hypergraph(random_tree(16, seed=3), closed=True), 8, 3_899, 0.45),
+    ],
+    ids=["hypergraph", "gnp-closed", "tree-closed"],
+)
+def test_trace_search_work_guard(monkeypatch, build, k_empty, parent_calls, cut):
+    # A report's T_1..T_8 and one with-empty T_k, asked in that order.  The
+    # parent counts are those of the search without the node close, the
+    # with-empty derivation and the degree cut.
+    calls = []
+    original = trace.reaches
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(trace, "reaches", counted)
+    H = build()
+    for k in range(1, 9):
+        trace_function_exact(H, k)
+    trace_function_exact(H, k_empty, include_empty=True)
+    assert len(calls) <= parent_calls * (1 - cut), len(calls)
+
+
 def test_exact_stops_at_the_ceiling():
     # T_11 of the closed neighbourhoods of G(22, 0.3) reaches min(22, 2^11 - 1)
     # early; enumerating all C(22, 11) = 705,432 subsets is not needed.
@@ -163,8 +224,11 @@ def test_reaches_drops_the_edges_that_miss_reach():
 def test_walk_yields_the_k_sets_no_refused_prefix_leads_to():
     # With every prefix kept, walk is combinations(range(n), k) as masks.
     # With a seeded random keep it yields exactly the k-sets whose picks up
-    # to p differ from every refused prefix ending at p, in the same order,
-    # and keep is asked only while more than one completion is left.
+    # to p differ from every refused prefix ending at p, and whose picks
+    # before p differ from those of every closed prefix ending at p or whose
+    # next pick lies before p, in the same order.  keep is asked only while
+    # more than one completion is left, and never again inside a closed
+    # node: not about a later sibling of the closed prefix, nor below one.
     rng = random.Random(11)
     for n in range(8):
         for k in range(n + 1):
@@ -172,23 +236,31 @@ def test_walk_yields_the_k_sets_no_refused_prefix_leads_to():
             assert list(walk(n, k, lambda *_: True)) == every
             for _ in range(5):
                 refused = []
+                closed = []
 
                 def keep(prefix, reach, p, left):
                     assert prefix.bit_length() == p + 1
                     assert reach == prefix | ((1 << n) - 1) >> (p + 1) << (p + 1)
                     assert left == k - prefix.bit_count() >= 1
                     assert comb(n - p - 1, left) > 1
-                    if rng.random() < 0.3:
+                    for shut, q in closed:
+                        assert prefix & ((1 << q) - 1) != shut ^ 1 << q, (prefix, shut)
+                    draw = rng.random()
+                    if draw < 0.3:
                         refused.append((prefix, p))
                         return False
+                    if draw < 0.4:
+                        closed.append((prefix, p))
+                        return None
                     return True
 
                 got = list(walk(n, k, keep))
                 want = [
                     s for s in every
                     if not any(s & ((2 << p) - 1) == prefix for prefix, p in refused)
+                    and not any(s & ((1 << p) - 1) == prefix ^ 1 << p for prefix, p in closed)
                 ]
-                assert got == want, (n, k, refused)
+                assert got == want, (n, k, refused, closed)
 
 
 def test_large_k_runs_past_the_recursion_limit():

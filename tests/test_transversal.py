@@ -2,7 +2,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, log2
+from math import ceil, comb, log2
 
 import pytest
 
@@ -199,6 +199,33 @@ def test_separating_set_matches_plain_enumeration():
             assert _outcome(shared, budget, exempt) == want, (H.edges, exempt, budget)
             checked += 1
     assert checked > 600
+
+
+def test_separating_set_budget_boundary():
+    """At budget rank - 1 the search raises and at budget rank it returns
+    the witness, with and without exempt rows: a closed node's batched
+    charge must land exactly where the plain enumeration's count does."""
+    rng = random.Random(13)
+    checked = 0
+    for H, _ in _separating_cases(rng):
+        for exempt in (False, True):
+            want = plain_separating_set(H.edge_masks, H.n, 10**7, exempt)
+            if want is None:
+                continue
+            start = next(
+                s for s in range(H.n + 1)
+                if (1 << s) - 1 >= len(H.edge_masks) - (s if exempt else 0)
+            )
+            sizes = range(start, len(want))
+            rank = sum(comb(H.n, s) for s in sizes) + 1 + next(
+                i for i, c in enumerate(combinations(range(H.n), len(want))) if c == want
+            )
+            fresh = Hypergraph(H.vertices, H.edges, H.allow_multi)
+            assert _outcome(fresh, rank - 1, exempt) == "raise", (H.edges, exempt, rank)
+            fresh = Hypergraph(H.vertices, H.edges, H.allow_multi)
+            assert _outcome(fresh, rank, exempt) == want, (H.edges, exempt, rank)
+            checked += 1
+    assert checked > 400
 
 
 def _count_calls(monkeypatch, name):
