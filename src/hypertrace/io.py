@@ -2,17 +2,18 @@
 
 Graphs::
 
-    # comment lines start with '#'
     p graph <n> <m> [base]
     <u> <v>            (m edge lines)
 
 Hypergraphs::
 
     p hgraph <n> <m> [base]
-    <v1> <v2> ...      (m edge lines; blank lines ignored)
+    <v1> <v2> ...      (m edge lines)
 
 The optional ``base`` header token is 0 (default) or 1 and declares the
 indexing of the vertex ids in the file; everything is 0-based internally.
+In both formats ``#`` starts a comment that runs to the end of the line,
+whole-line or trailing, and blank lines are ignored.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .graphs import Graph
 from .hypergraph import Hypergraph
 
 
-def _header(line: str, expected: str, lineno: int) -> tuple[int, int, int]:
+def _header(line: str, expected: str, lineno: int | None) -> tuple[int, int, int]:
     parts = line.split()
     if len(parts) not in (4, 5) or parts[0] != "p" or parts[1] != expected:
         raise FormatError(f"expected header 'p {expected} <n> <m> [base]'", lineno)
@@ -48,7 +49,43 @@ def _content_lines(text: str):
             yield lineno, line
 
 
+def _lines(text: str) -> list[str]:
+    """The content lines of ``text``, unnumbered: what ``_content_lines``
+    yields, but with the whitespace around the tokens left in."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    return list(filter(str.strip, lines))
+
+
 def parse_graph_text(text: str) -> Graph:
+    """Parse the ``p graph`` format.
+
+    The edge lines are read in bulk, and ``Graph.from_edges`` checks the
+    arity, self-loops and the id range of all of them at once.  When
+    anything fails, or an edge repeats, the text is parsed again line by
+    line (``_check_graph``), which warns of each duplicate edge in line
+    order and raises a ``FormatError`` at the first faulty line.  The
+    bulk path runs only when ``n`` is at most the length of the text, so
+    a malformed header cannot make it allocate more than the text holds.
+    """
+    try:
+        lines = _lines(text)
+        n, m, base = _header(lines[0], "graph", None)
+        if len(lines) - 1 == m and n <= len(text):
+            pairs = [tuple(map(int, line.split())) for line in lines[1:]]
+            if base:
+                pairs = [(u - 1, v - 1) for u, v in pairs]
+            G = Graph.from_edges(n, pairs)
+            if G.edge_count == m:
+                return G
+    except (ValueError, FormatError, IndexError):
+        pass
+    return _check_graph(text)
+
+
+def _check_graph(text: str) -> Graph:
+    """``parse_graph_text`` one line at a time, each check in line order."""
     lines = list(_content_lines(text))
     if not lines:
         raise FormatError("empty input")
@@ -72,7 +109,7 @@ def parse_graph_text(text: str) -> Graph:
             raise FormatError("vertex id out of range", lineno)
         key = (min(u, v), max(u, v))
         if key in seen:
-            warnings.warn(f"line {lineno}: duplicate edge {key}", stacklevel=2)
+            warnings.warn(f"line {lineno}: duplicate edge {key}", stacklevel=3)
         seen.add(key)
         edges.append((u, v))
     return Graph.from_edges(n, edges)
@@ -90,6 +127,33 @@ def serialize_graph(G: Graph, base: int = 0) -> str:
 
 
 def parse_hypergraph_text(text: str, allow_multi: bool = False) -> Hypergraph:
+    """Parse the ``p hgraph`` format.
+
+    The edge lines are read in bulk, and the subset check of
+    ``Hypergraph`` is the id range check of all of them at once.  When
+    anything fails, or an edge repeats without ``allow_multi``, the text
+    is parsed again line by line (``_check_hypergraph``), which collapses
+    each duplicate edge with a warning, in line order, and raises a
+    ``FormatError`` at the first faulty line.  The bulk path runs only
+    when ``n`` is at most the length of the text, so a malformed header
+    cannot make it allocate more than the text holds.
+    """
+    try:
+        lines = _lines(text)
+        n, m, base = _header(lines[0], "hgraph", None)
+        if len(lines) - 1 == m and n <= len(text):
+            edges = [frozenset(map(int, line.split())) for line in lines[1:]]
+            if base:
+                edges = [frozenset([v - 1 for v in e]) for e in edges]
+            if allow_multi or len(set(edges)) == m:
+                return Hypergraph(frozenset(range(n)), tuple(edges), allow_multi)
+    except (ValueError, FormatError, IndexError):
+        pass
+    return _check_hypergraph(text, allow_multi)
+
+
+def _check_hypergraph(text: str, allow_multi: bool) -> Hypergraph:
+    """``parse_hypergraph_text`` one line at a time, each check in line order."""
     lines = list(_content_lines(text))
     if not lines:
         raise FormatError("empty input")
@@ -109,7 +173,7 @@ def parse_hypergraph_text(text: str, allow_multi: bool = False) -> Hypergraph:
                 raise FormatError(f"vertex id {v + base} out of range", lineno)
         e = frozenset(members)
         if e in seen and not allow_multi:
-            warnings.warn(f"line {lineno}: duplicate edge collapsed", stacklevel=2)
+            warnings.warn(f"line {lineno}: duplicate edge collapsed", stacklevel=3)
             continue
         seen.add(e)
         edges.append(e)

@@ -5,11 +5,13 @@ never touches the package's bitmask or peeling code paths, so agreement
 between the two is meaningful evidence.
 """
 
+import warnings
 from itertools import chain, combinations
 
-from hypertrace.errors import BudgetExceededError
+from hypertrace.errors import BudgetExceededError, FormatError
 from hypertrace.graphs import Graph
 from hypertrace.hypergraph import Hypergraph
+from hypertrace.io import _content_lines, _header
 
 
 def subsets(items):
@@ -170,3 +172,64 @@ def plain_separating_set(rows, n, budget, selected_exempt=False):
             if all(labels) and len(set(labels)) == len(labels):
                 return combo
     return None
+
+
+def line_parse_graph_text(text: str) -> Graph:
+    """The line-by-line ``p graph`` parser the bulk parser must match: the
+    same value, the first fault with its line, and the duplicate warnings
+    in line order."""
+    lines = list(_content_lines(text))
+    if not lines:
+        raise FormatError("empty input")
+    lineno, header = lines[0]
+    n, m, base = _header(header, "graph", lineno)
+    if len(lines) - 1 != m:
+        raise FormatError(f"expected {m} edge lines, found {len(lines) - 1}")
+    edges = []
+    seen: set[tuple[int, int]] = set()
+    for lineno, line in lines[1:]:
+        parts = line.split()
+        if len(parts) != 2:
+            raise FormatError("edge lines must hold exactly two vertex ids", lineno)
+        try:
+            u, v = (int(p) - base for p in parts)
+        except ValueError:
+            raise FormatError("vertex ids must be integers", lineno) from None
+        if u == v:
+            raise FormatError(f"self-loop at vertex {u + base}", lineno)
+        if not (0 <= u < n and 0 <= v < n):
+            raise FormatError("vertex id out of range", lineno)
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            warnings.warn(f"line {lineno}: duplicate edge {key}", stacklevel=2)
+        seen.add(key)
+        edges.append((u, v))
+    return Graph.from_edges(n, edges)
+
+
+def line_parse_hypergraph_text(text: str, allow_multi: bool = False) -> Hypergraph:
+    """The line-by-line ``p hgraph`` parser the bulk parser must match."""
+    lines = list(_content_lines(text))
+    if not lines:
+        raise FormatError("empty input")
+    lineno, header = lines[0]
+    n, m, base = _header(header, "hgraph", lineno)
+    if len(lines) - 1 != m:
+        raise FormatError(f"expected {m} edge lines, found {len(lines) - 1}")
+    edges: list[frozenset[int]] = []
+    seen: set[frozenset[int]] = set()
+    for lineno, line in lines[1:]:
+        try:
+            members = [int(p) - base for p in line.split()]
+        except ValueError:
+            raise FormatError("vertex ids must be integers", lineno) from None
+        for v in members:
+            if not (0 <= v < n):
+                raise FormatError(f"vertex id {v + base} out of range", lineno)
+        e = frozenset(members)
+        if e in seen and not allow_multi:
+            warnings.warn(f"line {lineno}: duplicate edge collapsed", stacklevel=2)
+            continue
+        seen.add(e)
+        edges.append(e)
+    return Hypergraph(frozenset(range(n)), tuple(edges), allow_multi=allow_multi)

@@ -10,7 +10,11 @@ or are restrictions whose vertex ids are not a dense range, and a path
 on 1,500 vertices, so a fault that shows only on a large instance
 changes the digest or crashes the run.  Each
 report adds ``to_json(include_timings=False)`` and its exit code to the
-hash.  Uses only the standard library and ``hypertrace``.
+hash.  Before its reports, every instance the text format can carry (a
+graph, or a hypergraph on a dense vertex range without empty edges) must
+parse back from its serialized text to an equal value, so a parser change
+that alters a value stops the run.  Uses only the standard library and
+``hypertrace``.
 """
 
 from __future__ import annotations
@@ -21,13 +25,18 @@ import warnings
 
 from hypertrace import (
     Budgets,
+    Graph,
     Hypergraph,
     build_hypergraph,
+    parse_graph_text,
+    parse_hypergraph_text,
     random_gnp,
     random_hypergraph,
     random_tree,
     restriction,
     run_report,
+    serialize_graph,
+    serialize_hypergraph,
 )
 
 BUDGETS = (Budgets(50), Budgets(2_000), Budgets())
@@ -59,12 +68,27 @@ def corpus():
     yield build_hypergraph(1500, [[i, i + 1] for i in range(1499)])
 
 
+def check_round_trip(instance) -> None:
+    """Raise unless ``instance`` parses back from its text, where the text
+    format can carry it."""
+    if isinstance(instance, Graph):
+        back = parse_graph_text(serialize_graph(instance))
+    elif instance.is_dense and all(instance.edges):
+        text = serialize_hypergraph(instance)
+        back = parse_hypergraph_text(text, allow_multi=instance.allow_multi)
+    else:
+        return
+    if back != instance:
+        raise AssertionError(f"{instance!r} does not parse back from its text")
+
+
 def main() -> None:
     digest = hashlib.sha256()
     reports = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for instance in corpus():
+            check_round_trip(instance)
             for budgets in BUDGETS:
                 report = run_report(instance, budgets=budgets)
                 digest.update(report.to_json(include_timings=False).encode())
