@@ -67,8 +67,8 @@ def gamma_exact(G: Graph, kind: str, subset_budget: int = SUBSET_BUDGET_DEFAULT)
     ID shares its outcome with ``dt_exact`` on the closed neighborhoods,
     OLD with ``dt_exact`` on the open ones, and a budget that a search of
     the same rows already exceeded raises without searching again.
-    ``subset_budget`` counts candidate sets in the plain size-ascending
-    order, pruned ones included.
+    ``subset_budget`` bounds the witness's rank in the plain
+    size-ascending order of candidate sets.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")

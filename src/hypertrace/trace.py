@@ -10,10 +10,10 @@ min(|E|, k+1).  The binomial-sum bound driven by VC dimension is
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from math import comb
+from operator import eq
 
 from .degeneracy import reduced_degeneracy
 from .errors import BudgetExceededError, MultiEdgeError
@@ -189,9 +189,12 @@ def reaches(
     cap = 1 << left
     if cap > len(on_reach):
         return True
-    groups = Counter(v & smask for v in on_reach)
-    bound = len(on_reach) - sum(c - cap for c in groups.values() if c > cap)
-    if not include_empty and groups[0] >= cap:
+    # Sorted, each group is a run of equal heads, the empty one first, and a
+    # run of c heads has max(0, c - cap) heads equal to the head cap places
+    # before it.
+    heads = sorted([v & smask for v in on_reach])
+    bound = len(on_reach) - sum(map(eq, heads, heads[cap:]))
+    if not include_empty and not heads[cap - 1]:
         bound -= 1
     return bound >= target
 

@@ -80,11 +80,10 @@ def separating_set(
     (positions up to the last pick, outside the picks) are asked about.
     The cut is sound, so the witness is still the first minimum set.
 
-    The budget keeps its plain meaning: a set's rank in the size-ascending
-    enumeration of every candidate.  A skipped prefix is charged its
-    number of completions at once, so more than ``budget`` candidates
-    raise "<search> search budget exceeded" exactly where the plain
-    enumeration would.  Callers must ensure the full position set
+    The budget bounds one number, the witness's rank in the plain
+    size-ascending enumeration of every candidate: the search raises
+    "<search> search budget exceeded" iff that rank exceeds ``budget``,
+    whatever its cut skipped.  Callers must ensure the full position set
     qualifies.  The outcome is kept in ``H.separating_memo``: a found
     witness is served to every budget at least its rank, and a budget no
     larger than one already exceeded raises without searching again.
@@ -107,22 +106,18 @@ def separating_set(
 def _search(
     rows: Sequence[int], n: int, budget: int, search: str, selected_exempt: bool
 ) -> tuple[tuple[int, ...], int]:
-    """The separating set and its rank in the size-ascending enumeration.
+    """The separating set and its rank in the size-ascending enumeration:
+    ``done``, the sets of the sizes before its own, plus its ``_rank``
+    within its size, plus 1.
 
-    Every candidate set is charged once: a tested set counts 1, and a
-    prefix cut after its pick at position p, with r picks left, counts its
-    C(n - p - 1, r) completions.  A short reach closes the walk's node, so
-    it counts C(n - p, r + 1): those completions, every later sibling's
-    and the node's single completion.  It is sound with LD's exempt rows
-    too, since a later sibling has a smaller reach and more needy rows.
+    Only that rank is budgeted, so the cut needs no accounting.  A size
+    that would start past the budget raises at once, and in the size where
+    the budget ends (``room < C(n, size)``) so does a yielded set ranked
+    past it, since every set before it, cut or tested, fails to separate.
+    A short reach closes the walk's node, which is sound with LD's exempt
+    rows too, since a later sibling has a smaller reach and more needy
+    rows.
     """
-    examined = 0
-
-    def charge(count: int) -> None:
-        nonlocal examined
-        examined += count
-        if examined > budget:
-            raise BudgetExceededError(f"{search} search budget exceeded", budget=budget)
 
     def keep(prefix: int, reach: int, p: int, left: int) -> bool | None:
         if selected_exempt:
@@ -130,20 +125,38 @@ def _search(
             needy = [row for x, row in enumerate(rows[: p + 1]) if not prefix >> x & 1]
         else:
             needy = rows
-        kept = reaches(needy, prefix, reach, left, False, len(needy))
-        if not kept:
-            charge(comb(n - p - 1, left) if kept is False else comb(n - p, left + 1))
-        return kept
+        return reaches(needy, prefix, reach, left, False, len(needy))
 
     start = next(
         s for s in range(n + 1) if (1 << s) - 1 >= len(rows) - (s if selected_exempt else 0)
     )
+    done = 0
     for size in range(start, n + 1):
-        for smask in walk(n, size, keep):
-            charge(1)
-            if _separates(rows, smask, selected_exempt):
-                return tuple(bits(smask)), examined
+        room = budget - done
+        total = comb(n, size)
+        if room > 0:
+            for smask in walk(n, size, keep):
+                if room < total and _rank(n, smask) >= room:
+                    break
+                if _separates(rows, smask, selected_exempt):
+                    return tuple(bits(smask)), done + _rank(n, smask) + 1
+        if room < total:
+            raise BudgetExceededError(f"{search} search budget exceeded", budget=budget)
+        done += total
     raise AssertionError("the full position set must separate every row")
+
+
+def _rank(n: int, smask: int) -> int:
+    """How many sets of positions ``0..n-1`` of the size k of ``smask``
+    come before it in lexicographic order: with picks p_0 < ... < p_{k-1}
+    and q_i = p_{i-1} + 1 (q_0 = 0), those whose first smaller pick is
+    pick i number C(n - q_i, k - i) - C(n - p_i, k - i)."""
+    k = smask.bit_count()
+    rank = q = 0
+    for i, p in enumerate(bits(smask)):
+        rank += comb(n - q, k - i) - comb(n - p, k - i)
+        q = p + 1
+    return rank
 
 
 def is_distinguishing_transversal(H: Hypergraph, subset) -> bool:
@@ -159,9 +172,8 @@ def dt_exact(H: Hypergraph, subset_budget: int = SUBSET_BUDGET_DEFAULT) -> DtRes
     edges, so ``separating_set`` over the edge masks terminates.  Its
     outcome is memoised on ``H``, so a later search of the same masks
     (``gamma_exact`` for ID or OLD on a cached neighborhood hypergraph)
-    is answered without searching again.  ``subset_budget`` counts
-    candidate sets in the plain size-ascending order, pruned ones
-    included.
+    is answered without searching again.  ``subset_budget`` bounds the
+    witness's rank in the plain size-ascending order of candidate sets.
     """
     _require_simple(H)
     if any(not e for e in H.edges):

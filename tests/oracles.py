@@ -6,6 +6,7 @@ between the two is meaningful evidence.
 """
 
 import warnings
+from collections import Counter
 from itertools import chain, combinations
 
 from hypertrace.errors import BudgetExceededError, FormatError
@@ -148,6 +149,26 @@ def brute_gamma(G: Graph, kind: str):
         if ok(combo):
             return len(combo)
     return None
+
+
+def counter_reaches(masks, smask, reach, left, include_empty, target):
+    """``trace.reaches`` with its groups counted in a ``Counter``, the
+    reference the sorted-run version must match on every call."""
+    if target <= 0:
+        return True
+    on_reach = {m & reach for m in masks}
+    if not include_empty:
+        on_reach.discard(0)
+    if len(on_reach) < target:
+        return None
+    cap = 1 << left
+    if cap > len(on_reach):
+        return True
+    groups = Counter(v & smask for v in on_reach)
+    bound = len(on_reach) - sum(c - cap for c in groups.values() if c > cap)
+    if not include_empty and groups[0] >= cap:
+        bound -= 1
+    return bound >= target
 
 
 def plain_separating_set(rows, n, budget, selected_exempt=False):

@@ -22,7 +22,7 @@ from hypertrace import trace
 from hypertrace.errors import BudgetExceededError, MultiEdgeError
 from hypertrace.generate import random_hypergraph, random_tree
 from hypertrace.trace import reaches, walk
-from oracles import brute_trace_function
+from oracles import brute_trace_function, counter_reaches
 
 
 def random_simple(rng, max_n=8, max_m=14):
@@ -219,6 +219,34 @@ def test_reaches_drops_the_edges_that_miss_reach():
     assert reaches(masks, 0b001, 0b011, 1, False, 2)
     assert reaches(masks, 0b001, 0b011, 1, True, 3)
 
+
+def test_reaches_matches_the_counter_reference():
+    """The sorted-run group bound answers as the Counter one does, in both
+    modes, including calls where 2^left exceeds the values on reach and
+    calls whose group empty on smask holds exactly 2^left values."""
+    rng = random.Random(16)
+    seen = set()
+    for _ in range(20_000):
+        n = rng.randint(1, 8)
+        masks = [rng.randrange(1 << n) for _ in range(rng.randint(1, 24))]
+        reach = rng.randrange(1 << n)
+        smask = reach & rng.randrange(1 << n)
+        left = rng.randint(0, 4)
+        include_empty = rng.random() < 0.5
+        target = rng.randint(0, len(masks) + 1)
+        got = reaches(masks, smask, reach, left, include_empty, target)
+        assert got is counter_reaches(masks, smask, reach, left, include_empty, target), (
+            masks, smask, reach, left, include_empty, target
+        )
+        values = {m & reach for m in masks}
+        if not include_empty:
+            values.discard(0)
+        if 0 < target <= len(values):
+            cap = 1 << left
+            empty_group = sum(1 for v in values if not v & smask)
+            case = "cap > total" if cap > len(values) else "empty group = cap" if empty_group == cap else "other"
+            seen.add((include_empty, case))
+    assert len(seen) == 6, seen
 
 
 def test_walk_yields_the_k_sets_no_refused_prefix_leads_to():

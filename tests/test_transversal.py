@@ -20,7 +20,8 @@ from hypertrace import (
 )
 from hypertrace.errors import BudgetExceededError, MultiEdgeError
 from hypertrace.generate import random_gnp, random_tree
-from hypertrace.transversal import separating_set
+from hypertrace.hypergraph import bits
+from hypertrace.transversal import _rank, separating_set
 from oracles import brute_dt, plain_separating_set
 
 
@@ -226,6 +227,57 @@ def test_separating_set_budget_boundary():
             assert _outcome(fresh, rank, exempt) == want, (H.edges, exempt, rank)
             checked += 1
     assert checked > 400
+
+
+def test_rank_is_the_lexicographic_index():
+    for n in range(11):
+        for k in range(n + 1):
+            for i, combo in enumerate(combinations(range(n), k)):
+                assert _rank(n, sum(1 << p for p in combo)) == i, (n, combo)
+
+
+def _plain_rank(n, rows, want, exempt):
+    """The witness's rank in the plain enumeration, counted by itertools."""
+    start = next(s for s in range(n + 1) if (1 << s) - 1 >= len(rows) - (s if exempt else 0))
+    before = sum(comb(n, s) for s in range(start, len(want)))
+    return before + 1 + next(i for i, c in enumerate(combinations(range(n), len(want))) if c == want)
+
+
+def test_an_exact_cut_keeps_the_budget_outcome(monkeypatch):
+    """With a reach test that refuses every prefix no completion of which
+    separates, the search raises or returns at budgets rank - 1, rank and
+    rank + 1 exactly as the plain enumeration does, with and without
+    exempt rows: a sound cut cannot move the budget outcome."""
+    refused = []
+
+    def exact_cut(rows, exempt):
+        def cut(needy, prefix, reach, left, include_empty, target):
+            for combo in combinations(bits(reach & ~prefix), left):
+                smask = prefix | sum(1 << q for q in combo)
+                labels = [row & smask for x, row in enumerate(rows) if not (exempt and smask >> x & 1)]
+                if all(labels) and len(set(labels)) == len(labels):
+                    return True
+            refused.append(prefix)
+            return False
+
+        return cut
+
+    rng = random.Random(17)
+    checked = 0
+    for H, _ in _separating_cases(rng):
+        for exempt in (False, True):
+            want = plain_separating_set(H.edge_masks, H.n, 10**7, exempt)
+            if want is None:
+                continue
+            rank = _plain_rank(H.n, H.edge_masks, want, exempt)
+            monkeypatch.setattr(transversal, "reaches", exact_cut(H.edge_masks, exempt))
+            for budget in (rank - 1, rank, rank + 1):
+                fresh = Hypergraph(H.vertices, H.edges, H.allow_multi)
+                assert _outcome(fresh, budget, exempt) == _plain_outcome(
+                    H.edge_masks, H.n, budget, exempt
+                ), (H.edges, exempt, budget)
+            checked += 1
+    assert checked > 400 and refused
 
 
 def _count_calls(monkeypatch, name):

@@ -3,7 +3,8 @@
     PYTHONPATH=src python3 tools/report_digest.py
 
 Run it at two commits: a refactor that keeps every report byte-identical
-prints the same digest at both.  The corpus is 161 instances, each
+prints the same digest at both.  ``tests/test_report_digest.py`` pins the
+line, so a change that alters a report updates it there and says why.  The corpus is 161 instances, each
 analysed at subset budgets 50, 2,000 and the default: G(n, p) graphs,
 random trees, hypergraphs that are plain, multi-edge, carry empty edges,
 or are restrictions whose vertex ids are not a dense range, and a path
@@ -82,7 +83,9 @@ def check_round_trip(instance) -> None:
         raise AssertionError(f"{instance!r} does not parse back from its text")
 
 
-def main() -> None:
+def digest_line() -> str:
+    """The sha256 over the corpus's reports and their count, the line
+    ``main`` prints."""
     digest = hashlib.sha256()
     reports = 0
     with warnings.catch_warnings():
@@ -94,7 +97,11 @@ def main() -> None:
                 digest.update(report.to_json(include_timings=False).encode())
                 digest.update(f"\nexit {report.exit_code}\n".encode())
                 reports += 1
-    print(f"{digest.hexdigest()}  {reports} reports")
+    return f"{digest.hexdigest()}  {reports} reports"
+
+
+def main() -> None:
+    print(digest_line())
 
 
 if __name__ == "__main__":
