@@ -149,20 +149,18 @@ def domination_lower_bounds(G: Graph, j_max: int = J_MAX) -> dict[str, KindBound
             batch.append(BoundEntry("old-transversal", j, value, form, do, flags))
         return batch
 
-    closed_twins = find_twins(G, closed=True)
-    open_twins = find_twins(G, closed=False)
+    caveats: tuple[str, ...] = ()
+    if find_twins(G, closed=True):
+        caveats += ("closed twins present",)
+    if find_twins(G, closed=False):
+        caveats += ("open twins present",)
     for kind in KINDS:
         feasible, reason, pair = _feasibility(G, kind)
-        caveats: list[str] = []
-        if closed_twins:
-            caveats.append("closed twins present")
-        if open_twins:
-            caveats.append("open twins present")
         if not feasible:
-            out[kind] = KindBounds(kind, False, (), tuple([reason, *caveats]), pair)
+            out[kind] = KindBounds(kind, False, (), (reason, *caveats), pair)
             continue
         entries = bootstrap_entries(lambda j, kind=kind: entries_at(kind, j), j_max)
-        out[kind] = KindBounds(kind, True, tuple(entries), tuple(caveats))
+        out[kind] = KindBounds(kind, True, tuple(entries), caveats)
     return out
 
 

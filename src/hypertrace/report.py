@@ -155,7 +155,7 @@ class _Runner:
         self.report.checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
 
-def _instance_block(instance, source: str | None, generator: dict | None) -> dict:
+def _instance_block(instance, source: str | None) -> dict:
     if isinstance(instance, Graph):
         kind, n, m = "graph", instance.n, instance.edge_count
         text = serialize_graph(instance)
@@ -168,7 +168,7 @@ def _instance_block(instance, source: str | None, generator: dict | None) -> dic
         "m": m,
         "hash": hashlib.sha256(text.encode()).hexdigest(),
         "source": source,
-        "generator": generator,
+        "generator": None,
     }
 
 
@@ -229,8 +229,6 @@ def _analyze(instance, r: _Runner, budgets: Budgets, analyses) -> None:
                 f"trace-k{k}",
                 lambda k=k: trace_bound_profile(H, k, j_max=J_MAX, subset_budget=budgets.subset_budget),
             )
-            if profile is None:
-                continue
             entry = {
                 "k": k,
                 "exact": exact_value(profile.exact) if profile.exact is not None else None,
@@ -321,7 +319,7 @@ def _domination(G: Graph, r: _Runner, budgets: Budgets, dt_closed: int | None) -
         report = r.stage(
             f"gamma-{kind}", lambda k=kind: gamma_exact(G, k, subset_budget=budgets.subset_budget)
         )
-        kb = kind_bounds[kind] if kind_bounds else None
+        kb = kind_bounds[kind]
         entry = {
             "feasible": report.feasible if report is not None else None,
             "exact": exact_value(report.exact)
@@ -334,12 +332,12 @@ def _domination(G: Graph, r: _Runner, budgets: Budgets, dt_closed: int | None) -
             "infeasible_pair": list(report.infeasible_pair)
             if report is not None and report.infeasible_pair
             else None,
-            "lower_bounds": [bound_entry_dict(b) for b in kb.entries] if kb else [],
-            "caveats": list(kb.caveats) if kb else [],
+            "lower_bounds": [bound_entry_dict(b) for b in kb.entries],
+            "caveats": list(kb.caveats),
         }
         block[kind] = entry
         exacts[kind] = report.exact if report is not None else None
-        if report is not None and report.exact is not None and kb is not None:
+        if report is not None and report.exact is not None:
             _bounds_below_exact(r, f"gamma-{kind}-bounds-below-exact", kb.entries, report.exact)
     r.report.results["domination"] = block
     if exacts.get("LD") is not None:
@@ -396,7 +394,6 @@ def run_report(
     analyses=None,
     budgets: Budgets | None = None,
     source: str | None = None,
-    generator: dict | None = None,
 ) -> AnalysisReport:
     """Run the requested analyses and assemble the report.
 
@@ -411,6 +408,6 @@ def run_report(
         raise ValueError(f"unknown analyses: {sorted(unknown)}")
     if not isinstance(instance, (Graph, Hypergraph)):
         raise TypeError("instance must be a Graph or a Hypergraph")
-    report = AnalysisReport(instance=_instance_block(instance, source, generator))
+    report = AnalysisReport(instance=_instance_block(instance, source))
     _analyze(instance, _Runner(report), budgets, selected)
     return report

@@ -48,7 +48,8 @@ def trace_function_exact(
     of the other k - 1, and at most its degree contain it.  So the search
     skips every k-set with a vertex of lower degree: ``keep`` refuses a
     prefix whose last pick is one, closes the node when an earlier pick is
-    one or too few later positions are not, and leaves them out of reach.
+    one or too few later positions are not, and answers with its reach
+    stripped of them, so the walk no longer visits them below the prefix.
     The with-empty value is ``T_k + 1`` with the nonempty witness ``W`` when
     some edge misses ``W``: no k-set has more, and every earlier one has at
     most ``T_k``.  Only a strictly larger count replaces the witness, so no
@@ -90,7 +91,7 @@ def trace_function_exact(
     base = prior[0] + include_empty if prior else 0
     low = 0
 
-    def keep(prefix: int, reach: int, p: int, left: int) -> bool | None:
+    def keep(prefix: int, reach: int, p: int, left: int) -> int | bool | None:
         failing = prefix & low
         if failing:
             # Every later sibling keeps a failing earlier pick.
@@ -98,7 +99,7 @@ def trace_function_exact(
         reach &= ~low
         if (reach >> (p + 1)).bit_count() < left:
             return None
-        return reaches(masks, prefix, reach, left, include_empty, best + 1)
+        return reaches(masks, prefix, reach, left, include_empty, best + 1) and reach
 
     for s in walk(H.n, k, keep):
         if s & low:
@@ -118,45 +119,56 @@ def trace_function_exact(
     return result
 
 
-def walk(n: int, k: int, keep: Callable[[int, int, int, int], bool | None]) -> Iterator[int]:
+def walk(n: int, k: int, keep: Callable[[int, int, int, int], int | bool | None]) -> Iterator[int]:
     """Yield the masks of the k-sets of positions ``0..n-1``, ``0 <= k <=
     n``, in lexicographic order, skipping the prefixes ``keep`` refuses.
 
-    After every pick but the last, and only while more than one completion
-    is left, ``keep(prefix, reach, p, left)`` is asked about the prefix
-    whose last pick is ``p``: ``reach`` adds every position after ``p``
-    and ``left`` picks remain.  A refused prefix (a false answer) drops
-    its C(n - p - 1, left) completions.  ``None`` closes the prefix's node:
-    the prefix, every later sibling and the node's single completion are
-    dropped, C(n - p, left + 1) k-sets in all, and the walk backtracks.
+    Each level holds its prefix and the positions still in play after its
+    last pick, every position at the root.  After every pick but the last,
+    and only while more than one completion is left among the positions in
+    play, ``keep(prefix, reach, p, left)`` is asked about the prefix whose
+    last pick is ``p``: ``reach`` adds the positions in play after ``p``,
+    and ``left`` picks remain.  ``True`` keeps them all in play for the
+    prefix's completions, and a mask keeps only its positions among them.
+    A false answer refuses the prefix and drops its completions.  ``None``
+    closes the prefix's node: the prefix, every later sibling and the
+    node's single completion are dropped, and the walk backtracks.  When
+    exactly ``left`` positions are in play, they make the single
+    completion, which is yielded without asking.
     The picks live on an explicit stack, so the depth does not grow with
     k and any k runs on thousands of positions.
     """
-    full = (1 << n) - 1
-    picks: list[int] = []
-    smask = p = 0
+    if not k:
+        yield 0
+        return
+    # Each pick's bit, with the positions in play after it at its level.
+    levels: list[tuple[int, int]] = []
+    smask = 0
+    play = (1 << n) - 1
     while True:
-        left = k - len(picks)
-        if left > 1 and p < n - left:
-            child = smask | 1 << p
-            kept = keep(child, child | full >> (p + 1) << (p + 1), p, left - 1)
+        left = k - len(levels)
+        count = play.bit_count()
+        if left > 1 and count > left:
+            low = play & -play
+            play ^= low
+            child = smask | low
+            kept = keep(child, child | play, low.bit_length() - 1, left - 1)
             if kept is not None:
                 if kept:
-                    picks.append(p)
+                    levels.append((low, play))
                     smask = child
-                p += 1
+                    if kept is not True:
+                        play &= kept
                 continue
         elif left == 1:
-            for q in range(p, n):
+            for q in bits(play):
                 yield smask | 1 << q
-        else:
-            # The single completion: every position from n - left on.
-            yield smask | full >> (n - left) << (n - left)
-        if not picks:
+        elif count == left:
+            yield smask | play
+        if not levels:
             return
-        p = picks.pop()
-        smask ^= 1 << p
-        p += 1
+        low, play = levels.pop()
+        smask ^= low
 
 
 def reaches(

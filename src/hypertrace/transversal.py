@@ -114,12 +114,17 @@ def _search(
     that would start past the budget raises at once, and in the size where
     the budget ends (``room < C(n, size)``) so does a yielded set ranked
     past it, since every set before it, cut or tested, fails to separate.
+    In that size ``keep`` also closes the node of a prefix whose first
+    completion, the prefix plus the ``left`` positions after ``p``, ranks
+    past it: every later completion and every later sibling's ranks after.
     A short reach closes the walk's node, which is sound with LD's exempt
     rows too, since a later sibling has a smaller reach and more needy
     rows.
     """
 
     def keep(prefix: int, reach: int, p: int, left: int) -> bool | None:
+        if room < total and _rank(n, prefix | ((1 << left) - 1) << (p + 1)) >= room:
+            return None
         if selected_exempt:
             # Only rows at or before p outside the picks keep needing a label.
             needy = [row for x, row in enumerate(rows[: p + 1]) if not prefix >> x & 1]

@@ -4,21 +4,22 @@ A subset S is shattered when every one of its 2^|S| subsets, the empty set
 included, occurs as the trace of some edge on S.  The search for the
 largest shattered set only needs to look at sizes up to
 floor(log2(classic degeneracy)) + 1, which keeps exact computation
-polynomial whenever the degeneracy is bounded.  A nonempty shattered set
-is its own trace, so it lies inside one edge: only subsets of edges are
-candidates.
+polynomial whenever the degeneracy is bounded.  Within a size the search
+walks the k-sets with ``trace.walk`` and reads the edges through
+``H.incidence``, never through n-bit edge masks.  If a k-set shatters,
+each of its 2^(k-j) traces that hold j given vertices of it is left by its
+own edge, so at least 2^(k-j) distinct edges contain those vertices, and
+the set, itself a trace, lies inside their union.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import merge
-from itertools import combinations
 
 from .degeneracy import reduced_degeneracy
 from .errors import BudgetExceededError
-from .hypergraph import Hypergraph
-from .trace import SUBSET_BUDGET_DEFAULT
+from .hypergraph import Hypergraph, bits
+from .trace import SUBSET_BUDGET_DEFAULT, walk
 
 SHATTER_SIZE_CAP = 30
 
@@ -55,39 +56,49 @@ def vc_upper_bound(H: Hypergraph) -> int:
     return reduced_degeneracy(H).classic.bit_length()
 
 
-def _edge_subsets(H: Hypergraph, size: int):
-    """Distinct ``size``-subsets of edges, lazily, in lexicographic order."""
-    last = None
-    for combo in merge(*(combinations(sorted(e), size) for e in H.distinct_edges)):
-        if combo != last:
-            last = combo
-            yield combo
-
-
 def vc_exact(H: Hypergraph, node_budget: int = SUBSET_BUDGET_DEFAULT) -> VcResult:
     """Exact VC dimension by size-ascending search under the degeneracy cap.
 
     Subset sizes are tried in ascending order; once no set of a size
     shatters, no larger set can (subsets of shattered sets are shattered),
-    so the search exits early.  Within one size the candidates are the
-    distinct subsets of edges in lexicographic order, which holds every
-    shattered set of that size, so the reported witness is the
-    lexicographically first.  ``node_budget`` bounds the candidates tested.
+    so the search exits early.  Within one size it tests the sets ``walk``
+    yields in lexicographic order, so the reported witness is the
+    lexicographically first.  Its ``keep`` refuses a prefix that fewer
+    than ``2^left`` distinct edges contain and narrows the prefix's
+    completions to the union of those edges; neither drops a shattered
+    set.  A test counts the traces of the edges that meet the set, plus
+    the empty trace iff some distinct edge, an empty one included, misses
+    it.  ``node_budget`` bounds the sets tested.
     """
+    edges, edge_ids = H.incidence
+    distinct = len(H.distinct_edges)
+
+    def keep(prefix: int, reach: int, p: int, left: int) -> int | bool:
+        common = set(edge_ids[p]).intersection(*map(edge_ids.__getitem__, bits(prefix ^ 1 << p)))
+        if len(common) < 1 << left:
+            return False
+        return sum(1 << q for q in set().union(*map(edges.__getitem__, common)) if q > p)
+
+    def shattered(picks: list[int]) -> bool:
+        meeting = set().union(*map(edge_ids.__getitem__, picks))
+        s = frozenset(picks)
+        traces = {edges[e] & s for e in meeting}
+        return len(traces) + (len(meeting) < distinct) == 1 << len(picks)
+
     cap = vc_upper_bound(H)
     dimension = 0
     witness: tuple[int, ...] = ()
     nodes = 0
     for size in range(1, cap + 1):
-        found = None
-        for combo in _edge_subsets(H, size):
+        for smask in walk(H.n, size, keep):
             nodes += 1
             if nodes > node_budget:
                 raise BudgetExceededError("shattering-test budget exceeded", budget=node_budget)
-            if is_shattered(H, combo):
-                found = combo
+            picks = list(bits(smask))
+            if shattered(picks):
+                dimension, witness = size, tuple(H.vertex_list[p] for p in picks)
                 break
-        if found is None:
+        else:
+            # No set of this size shatters, so no larger one does.
             break
-        dimension, witness = size, found
     return VcResult(dimension, witness, cap, nodes)

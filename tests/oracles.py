@@ -8,6 +8,7 @@ between the two is meaningful evidence.
 import warnings
 from collections import Counter
 from itertools import chain, combinations
+from math import comb
 
 from hypertrace.errors import BudgetExceededError, FormatError
 from hypertrace.graphs import Graph
@@ -169,6 +170,37 @@ def counter_reaches(masks, smask, reach, left, include_empty, target):
     if not include_empty and groups[0] >= cap:
         bound -= 1
     return bound >= target
+
+
+def recursive_walk(n, k, keep):
+    """``trace.walk`` as a plain recursion, the reference the explicit-stack
+    walker must match in the k-sets it yields and in the ``keep`` calls it
+    makes.  ``completions`` lists those of ``smask`` by ``left`` picks from
+    the positions of ``play``; for each pick it asks ``keep`` only when the
+    child has more than one completion, and adds the single one otherwise."""
+    out = []
+
+    def completions(smask, play, left):
+        positions = [p for p in range(n) if play >> p & 1]
+        for i, p in enumerate(positions):
+            child = smask | 1 << p
+            rest = positions[i + 1:]
+            ways = comb(len(rest), left - 1)
+            if ways == 1:
+                out.append(child | sum(1 << q for q in rest[: left - 1]))
+            elif ways > 1:
+                rest_mask = sum(1 << q for q in rest)
+                kept = keep(child, child | rest_mask, p, left - 1)
+                if kept is None:
+                    return
+                if kept:
+                    completions(child, rest_mask if kept is True else rest_mask & kept, left - 1)
+
+    if k:
+        completions(0, (1 << n) - 1, k)
+    else:
+        out.append(0)
+    return out
 
 
 def plain_separating_set(rows, n, budget, selected_exempt=False):

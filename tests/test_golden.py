@@ -26,11 +26,11 @@ CORPUS = {
 DIGESTS = {
     "p4": "419bd01a22b1902a393cda3ab3143e5b19201dc45938ab225cec97c95bfa0d51",
     "gnp16": "c2b696b1d223c3c3138a320ac2011c51610dd6452e9bc6db30ae7b97f7f84934",
-    "gnp15": "f8f443f0907173d285e6bbb700884ff0ea570ea8081937432d0ec50762604ed3",
+    "gnp15": "5d20f4277e8f5e1ab34e4e2096675b752de8a245f6735b4a45c98a988ea78f88",
     "tree10": "35cdf8686805524af43bf69f7a2c027650ddf2ce49b90d2f4a1c6bb5c489de29",
     "tree14": "d5b8fbfd5a17b65321c00092d06ed8fcae725130b4c40335cb4c905fd99645f4",
-    "h14": "ad25377554fa6786ccae94514a7c77a07bf901c7d1d13069e9f53fbb3c29af05",
-    "h50": "55d649f23026e2fdde87e104178485cf8e17d704c6d46deb3d6ef69f063fd299",
+    "h14": "fe513294f6e14275f4e8bb93edc5721e299d2df05ce78991a35db9008611e835",
+    "h50": "643bf735c06b9131fc88095a112e2348d0b9e566e9edbe9287a0ab0e3c9ef374",
 }
 
 SKIPPED = {

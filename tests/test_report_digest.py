@@ -9,7 +9,7 @@ search across its budget boundary.
 import importlib.util
 from pathlib import Path
 
-DIGEST = "83194fdfe7b3c720c69ae37515403fe634a3d4deea6c7d78935a9584c5563588  483 reports"
+DIGEST = "31392168e3b54ceed4948629cac684c97559d5d2c7ea93cb7927c3d7abd89c79  486 reports"
 
 
 def test_report_digest_is_pinned():

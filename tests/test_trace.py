@@ -22,7 +22,7 @@ from hypertrace import trace
 from hypertrace.errors import BudgetExceededError, MultiEdgeError
 from hypertrace.generate import random_hypergraph, random_tree
 from hypertrace.trace import reaches, walk
-from oracles import brute_trace_function, counter_reaches
+from oracles import brute_trace_function, counter_reaches, recursive_walk
 
 
 def random_simple(rng, max_n=8, max_m=14):
@@ -289,6 +289,48 @@ def test_walk_yields_the_k_sets_no_refused_prefix_leads_to():
                     and not any(s & ((1 << p) - 1) == prefix ^ 1 << p for prefix, p in closed)
                 ]
                 assert got == want, (n, k, refused, closed)
+
+
+def test_walk_matches_the_recursive_reference():
+    """With seeded keeps that answer True, False, None or a random submask
+    of reach, walk yields what the plain recursive walker does and asks
+    keep the same questions in the same order, for every n <= 8 and k."""
+    rng = random.Random(17)
+    narrowed = []
+    for n in range(9):
+        for k in range(n + 1):
+            for _ in range(50):
+                seed = rng.randrange(10**9)
+                calls = {}
+
+                def make_keep(name):
+                    draws = random.Random(seed)
+                    calls[name] = []
+
+                    def keep(prefix, reach, p, left):
+                        calls[name].append((prefix, reach, p, left))
+                        draw = draws.random()
+                        if draw < 0.15:
+                            return False
+                        if draw < 0.25:
+                            return None
+                        if draw < 0.5:
+                            return True
+                        # Each position of reach stays with probability 3/4.
+                        mask = reach & ~(draws.randrange(1 << n) & draws.randrange(1 << n))
+                        kept_after = mask >> (p + 1)
+                        if name == "walk" and kept_after != reach >> (p + 1) and kept_after.bit_count() > left:
+                            # A strict narrowing that leaves more than one completion.
+                            narrowed.append(mask)
+                        return mask
+
+                    return keep
+
+                got = list(walk(n, k, make_keep("walk")))
+                want = recursive_walk(n, k, make_keep("reference"))
+                assert got == want, (n, k, seed)
+                assert calls["walk"] == calls["reference"], (n, k, seed)
+    assert len(narrowed) > 500, len(narrowed)
 
 
 def test_large_k_runs_past_the_recursion_limit():

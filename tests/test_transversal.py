@@ -1,7 +1,7 @@
 import random
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import ceil, comb, log2
 
 import pytest
@@ -204,8 +204,9 @@ def test_separating_set_matches_plain_enumeration():
 
 def test_separating_set_budget_boundary():
     """At budget rank - 1 the search raises and at budget rank it returns
-    the witness, with and without exempt rows: a closed node's batched
-    charge must land exactly where the plain enumeration's count does."""
+    the witness, with and without exempt rows: the witness's rank, the sets
+    of the sizes walked plus its lexicographic index within its size plus
+    1, must fall exactly where the plain enumeration's count does."""
     rng = random.Random(13)
     checked = 0
     for H, _ in _separating_cases(rng):
@@ -241,6 +242,41 @@ def _plain_rank(n, rows, want, exempt):
     start = next(s for s in range(n + 1) if (1 << s) - 1 >= len(rows) - (s if exempt else 0))
     before = sum(comb(n, s) for s in range(start, len(want)))
     return before + 1 + next(i for i, c in enumerate(combinations(range(n), len(want))) if c == want)
+
+
+def test_binding_budget_asks_reaches_nothing_past_it(monkeypatch):
+    """Under a budget that ends inside a size, every prefix the separating
+    search asks ``reaches`` about has its first completion, the prefix plus
+    the next positions of reach, ranked within the budget: the walk closes
+    the node of any other prefix before asking."""
+    asked = []
+    original = transversal.reaches
+
+    def recording(needy, prefix, reach, left, include_empty, target):
+        asked.append((prefix, reach, left))
+        return original(needy, prefix, reach, left, include_empty, target)
+
+    monkeypatch.setattr(transversal, "reaches", recording)
+    rng = random.Random(29)
+    checked = calls = 0
+    for H, _ in _separating_cases(rng):
+        for exempt in (False, True):
+            want = plain_separating_set(H.edge_masks, H.n, 10**7, exempt)
+            if want is None:
+                continue
+            rank = _plain_rank(H.n, H.edge_masks, want, exempt)
+            for budget in {rank - 1, rng.randint(1, rank), rng.randint(1, rank)} - {0}:
+                asked.clear()
+                _outcome(Hypergraph(H.vertices, H.edges, H.allow_multi), budget, exempt)
+                for prefix, reach, left in asked:
+                    after = bits(reach >> prefix.bit_length() << prefix.bit_length())
+                    first = (*bits(prefix), *islice(after, left))
+                    assert _plain_rank(H.n, H.edge_masks, first, exempt) <= budget, (
+                        H.edges, exempt, budget, prefix, left
+                    )
+                calls += len(asked)
+                checked += 1
+    assert checked > 500 and calls > 1_000, (checked, calls)
 
 
 def test_an_exact_cut_keeps_the_budget_outcome(monkeypatch):

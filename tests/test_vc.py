@@ -6,14 +6,17 @@ import pytest
 
 from hypertrace import (
     Graph,
+    Hypergraph,
     build_hypergraph,
     is_shattered,
     neighborhood_hypergraph,
     random_gnp,
     random_tree,
+    restriction,
     vc_exact,
     vc_upper_bound,
 )
+from hypertrace.bench import instance_for_weight
 from hypertrace.errors import BudgetExceededError
 from oracles import brute_is_shattered, brute_vc
 
@@ -177,3 +180,43 @@ def test_vc_monotone_under_edge_deletion():
 def test_vc_counts_nodes():
     H = build_hypergraph(3, [{0, 1}, {1, 2}, {0, 2}])
     assert vc_exact(H).nodes_enumerated > 0
+
+
+def test_vc_matches_the_oracle_on_sparse_ids_with_repeated_and_empty_edges():
+    # Vertex ids drawn from range(2n) or left by a restriction, duplicate
+    # and empty edges: the dimension is the largest size with a shattered
+    # set, and the witness is the first such set in sorted-id order.
+    rng = random.Random(2024)
+    sizes = set()
+    for i in range(240):
+        n = rng.randint(1, 8)
+        if i % 3:
+            ids = rng.sample(range(2 * n), n)
+            m = rng.randint(0, 14)
+            edges = [frozenset(rng.sample(ids, rng.randint(0, n))) for _ in range(m)]
+            edges += rng.sample(edges, min(len(edges), 2)) + [frozenset()] * rng.randint(0, 2)
+            rng.shuffle(edges)
+            H = Hypergraph(frozenset(ids), tuple(edges), True)
+        else:
+            base = random_hg(rng, max_n=10)
+            H = restriction(base, rng.sample(range(base.n), rng.randint(1, base.n)))
+        expected = (0, ())
+        for d in range(H.n, 0, -1):
+            combos = combinations(sorted(H.vertices), d)
+            first = next((c for c in combos if brute_is_shattered(H, c)), None)
+            if first is not None:
+                expected = (d, first)
+                break
+        assert expected[0] == brute_vc(H)
+        result = vc_exact(H)
+        assert (result.dimension, result.witness) == expected, H.edges
+        sizes.add(expected[0])
+    assert sizes >= {0, 1, 2, 3}, sizes
+
+
+def test_vc_work_guard_on_the_10k_weight_bench_instance():
+    # Sets tested, not seconds, so the guard reads the same on any host.
+    # Testing the distinct k-subsets of every edge in order tests 156,783.
+    result = vc_exact(instance_for_weight(10_000, seed=0))
+    assert (result.dimension, result.witness) == (3, (0, 191, 782))
+    assert result.nodes_enumerated <= 1_000, result.nodes_enumerated

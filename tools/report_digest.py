@@ -4,11 +4,13 @@
 
 Run it at two commits: a refactor that keeps every report byte-identical
 prints the same digest at both.  ``tests/test_report_digest.py`` pins the
-line, so a change that alters a report updates it there and says why.  The corpus is 161 instances, each
-analysed at subset budgets 50, 2,000 and the default: G(n, p) graphs,
-random trees, hypergraphs that are plain, multi-edge, carry empty edges,
-or are restrictions whose vertex ids are not a dense range, and a path
-on 1,500 vertices, so a fault that shows only on a large instance
+line, so a change that alters a report updates it there and says why.
+The corpus is 162 instances, each analysed at subset budgets 50, 2,000
+and the default: G(n, p) graphs, random trees, hypergraphs that are
+plain, multi-edge, carry empty edges, or are restrictions whose vertex
+ids are not a dense range, a path on 1,500 vertices, and the
+10k-edge-weight instance of ``hypertrace.bench`` (1,025 vertices,
+duplicate edges kept), so a fault that shows only on a large instance
 changes the digest or crashes the run.  Each
 report adds ``to_json(include_timings=False)`` and its exit code to the
 hash.  Before its reports, every instance the text format can carry (a
@@ -39,6 +41,7 @@ from hypertrace import (
     serialize_graph,
     serialize_hypergraph,
 )
+from hypertrace.bench import instance_for_weight
 
 BUDGETS = (Budgets(50), Budgets(2_000), Budgets())
 
@@ -58,7 +61,7 @@ def _hypergraphs(seed: int):
 
 
 def corpus():
-    """The 161 instances, in a fixed order."""
+    """The 162 instances, in a fixed order."""
     for seed in range(40):
         rng = random.Random(1000 + seed)
         yield random_gnp(rng.randint(8, 18), rng.choice((0.2, 0.3, 0.5)), seed=rng)
@@ -67,6 +70,7 @@ def corpus():
     for seed in range(22):
         yield from _hypergraphs(3000 + seed)
     yield build_hypergraph(1500, [[i, i + 1] for i in range(1499)])
+    yield instance_for_weight(10_000, seed=0)
 
 
 def check_round_trip(instance) -> None:
