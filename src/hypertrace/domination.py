@@ -41,17 +41,19 @@ class DominationReport:
 
 
 def _feasibility(G: Graph, kind: str) -> tuple[bool, str | None, tuple[int, int] | None]:
-    if kind == "ID":
-        twins = find_twins(G, closed=True)
-        if twins:
-            return False, "closed twins cannot be told apart", twins[0]
-    elif kind == "OLD":
-        isolated = [v for v in range(G.n) if not G.adj[v]]
-        if isolated:
-            return False, "isolated vertex has an empty open neighborhood", (isolated[0], isolated[0])
-        twins = find_twins(G, closed=False)
-        if twins:
-            return False, "open twins cannot be told apart", twins[0]
+    # ID and OLD are DT on a side, undefined where the side has an empty
+    # edge (an isolated vertex, open side only) or duplicate edges (twins).
+    # Two isolated vertices are also open twins, so the empty edge comes first.
+    if kind == "LD":
+        return True, None, None
+    closed = kind == "ID"
+    H = neighborhood_hypergraph(G, closed)
+    if not closed and not all(H.edges):
+        v = H.edges.index(frozenset())
+        return False, "isolated vertex has an empty open neighborhood", (v, v)
+    if H.has_duplicate_edges:
+        side = "closed" if closed else "open"
+        return False, f"{side} twins cannot be told apart", find_twins(G, closed)[0]
     return True, None, None
 
 
@@ -80,28 +82,6 @@ def gamma_exact(G: Graph, kind: str, subset_budget: int = SUBSET_BUDGET_DEFAULT)
     return DominationReport(kind, True, len(combo), combo)
 
 
-def _ld_pair_bounds(
-    n: int, j: int, closed_data: tuple[int, int, str], open_data: tuple[int, int, str]
-) -> list[BoundEntry]:
-    """LD bounds pairing each hypergraph's trace value with its own degeneracy.
-
-    Each neighborhood family, restricted to the vertices outside a
-    locating-dominating set, leaves that many distinct nonempty traces on
-    the set; splitting the count with the peel chain certifies
-    (n + delta*j - T_j) / (delta + 1) for either family.  Pairing a
-    family's trace value with the other family's degeneracy is not
-    certified and is therefore never emitted.
-    """
-    entries = []
-    for name, (delta, t_j, form) in (
-        ("ld-closed-pair", closed_data),
-        ("ld-open-pair", open_data),
-    ):
-        value = Fraction(n + delta * j - t_j, delta + 1)
-        entries.append(BoundEntry(name, j, value, form, delta))
-    return entries
-
-
 @dataclass(frozen=True)
 class KindBounds:
     """Lower bounds for one domination kind, with feasibility caveats."""
@@ -123,10 +103,8 @@ def domination_lower_bounds(G: Graph, j_max: int = J_MAX) -> dict[str, KindBound
     of the two readings is reported and a flag records any discrepancy.
     """
     n = G.n
-    H = neighborhood_hypergraph(G, closed=True)
-    Ho = neighborhood_hypergraph(G, closed=False)
-    dc = reduced_degeneracy(H).reduced
-    do = reduced_degeneracy(Ho).reduced
+    H, Ho = (neighborhood_hypergraph(G, closed) for closed in (True, False))
+    dc, do = (reduced_degeneracy(h).reduced for h in (H, Ho))
     out: dict[str, KindBounds] = {}
 
     def transversal(t_j: int, delta: int, j: int) -> Fraction:
@@ -137,7 +115,16 @@ def domination_lower_bounds(G: Graph, j_max: int = J_MAX) -> dict[str, KindBound
     def entries_at(kind: str, j: int) -> list[BoundEntry]:
         tc, fc = trace_value(H, j)
         to, fo = trace_value(Ho, j)
-        batch = _ld_pair_bounds(n, j, (dc, tc, fc), (do, to, fo))
+        # Each neighborhood family, restricted to the vertices outside a
+        # locating-dominating set, leaves that many distinct nonempty traces
+        # on the set; splitting the count with the peel chain certifies
+        # (n + delta*j - T_j) / (delta + 1) for either family.  Pairing a
+        # family's trace value with the other family's degeneracy is not
+        # certified and is therefore never emitted.
+        batch = [
+            BoundEntry(name, j, Fraction(n + delta * j - t_j, delta + 1), form, delta)
+            for name, delta, t_j, form in (("ld-closed-pair", dc, tc, fc), ("ld-open-pair", do, to, fo))
+        ]
         if kind == "ID":
             batch.append(BoundEntry("id-transversal", j, transversal(tc, dc, j), fc, dc))
         elif kind == "OLD":
@@ -149,11 +136,8 @@ def domination_lower_bounds(G: Graph, j_max: int = J_MAX) -> dict[str, KindBound
             batch.append(BoundEntry("old-transversal", j, value, form, do, flags))
         return batch
 
-    caveats: tuple[str, ...] = ()
-    if find_twins(G, closed=True):
-        caveats += ("closed twins present",)
-    if find_twins(G, closed=False):
-        caveats += ("open twins present",)
+    sides = (("closed", H), ("open", Ho))
+    caveats = tuple(f"{side} twins present" for side, h in sides if h.has_duplicate_edges)
     for kind in KINDS:
         feasible, reason, pair = _feasibility(G, kind)
         if not feasible:

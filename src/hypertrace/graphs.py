@@ -86,20 +86,16 @@ def neighborhood_hypergraph(G: Graph, closed: bool = True) -> Hypergraph:
 
 
 def find_twins(G: Graph, closed: bool = True) -> list[tuple[int, int]]:
-    """Pairs of vertices with identical closed (or open) neighborhoods.
+    """Pairs of vertices with identical closed (or open) neighborhoods,
+    grouped from the edges of the cached neighborhood hypergraph.
 
     Each equivalence class of size t contributes its t-1 adjacent pairs in
     ascending order, enough to name every collapse.
     """
     groups: dict[frozenset[int], list[int]] = {}
-    for v in range(G.n):
-        key = G.adj[v] | {v} if closed else G.adj[v]
-        groups.setdefault(frozenset(key), []).append(v)
-    pairs = []
-    for members in groups.values():
-        for a, b in zip(members, members[1:]):
-            pairs.append((a, b))
-    return sorted(pairs)
+    for v, e in enumerate(neighborhood_hypergraph(G, closed).edges):
+        groups.setdefault(e, []).append(v)
+    return sorted((a, b) for members in groups.values() for a, b in zip(members, members[1:]))
 
 
 @dataclass(frozen=True)

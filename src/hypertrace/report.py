@@ -53,6 +53,22 @@ class AnalysisReport:
     skipped: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
 
+    def stage(self, name: str, fn):
+        """``fn()``, timed as stage ``name``; a budget overrun is recorded
+        as a skip and gives ``None``."""
+        start = time.perf_counter()
+        try:
+            return fn()
+        except BudgetExceededError as exc:
+            self.skipped.append({"stage": name, "reason": "budget", "detail": str(exc)})
+            return None
+        finally:
+            self.timings[name] = time.perf_counter() - start
+
+    def check(self, name: str, passed: bool, detail: str = ""):
+        """Record the outcome of one cross-check."""
+        self.checks.append({"name": name, "passed": bool(passed), "detail": detail})
+
     @property
     def exit_code(self) -> int:
         if any(not c["passed"] for c in self.checks):
@@ -137,24 +153,6 @@ def validate_report(doc: dict) -> None:
             raise ValueError("checks must carry name and passed")
 
 
-class _Runner:
-    def __init__(self, report: AnalysisReport):
-        self.report = report
-
-    def stage(self, name: str, fn):
-        start = time.perf_counter()
-        try:
-            return fn()
-        except BudgetExceededError as exc:
-            self.report.skipped.append({"stage": name, "reason": "budget", "detail": str(exc)})
-            return None
-        finally:
-            self.report.timings[name] = time.perf_counter() - start
-
-    def check(self, name: str, passed: bool, detail: str = ""):
-        self.report.checks.append({"name": name, "passed": bool(passed), "detail": detail})
-
-
 def _instance_block(instance, source: str | None) -> dict:
     if isinstance(instance, Graph):
         kind, n, m = "graph", instance.n, instance.edge_count
@@ -172,12 +170,12 @@ def _instance_block(instance, source: str | None) -> dict:
     }
 
 
-def _bounds_below_exact(r: _Runner, name: str, entries, exact: int):
+def _bounds_below_exact(r: AnalysisReport, name: str, entries, exact: int):
     bad = [b for b in entries if b.ceiled > exact]
     r.check(name, not bad, f"exact={exact}")
 
 
-def _analyze(instance, r: _Runner, budgets: Budgets, analyses) -> None:
+def _analyze(instance, r: AnalysisReport, budgets: Budgets, analyses) -> None:
     """The one analysis pipeline, over the sides of the instance.
 
     A hypergraph has one side, ``""``.  A graph has two, its closed and
@@ -197,7 +195,7 @@ def _analyze(instance, r: _Runner, budgets: Budgets, analyses) -> None:
         sides = {"": instance}
     first = next(iter(sides))
     H = sides[first]
-    res = r.report.results
+    res = r.results
 
     def named(name: str, side: str) -> str:
         return f"{name}-{side}" if side else name
@@ -311,7 +309,7 @@ def _analyze(instance, r: _Runner, budgets: Budgets, analyses) -> None:
         _tree(instance, r)
 
 
-def _domination(G: Graph, r: _Runner, budgets: Budgets, dt_closed: int | None) -> None:
+def _domination(G: Graph, r: AnalysisReport, budgets: Budgets, dt_closed: int | None) -> None:
     kind_bounds = r.stage("domination-bounds", lambda: domination_lower_bounds(G))
     block = {}
     exacts: dict[str, int | None] = {}
@@ -339,7 +337,7 @@ def _domination(G: Graph, r: _Runner, budgets: Budgets, dt_closed: int | None) -
         exacts[kind] = report.exact if report is not None else None
         if report is not None and report.exact is not None:
             _bounds_below_exact(r, f"gamma-{kind}-bounds-below-exact", kb.entries, report.exact)
-    r.report.results["domination"] = block
+    r.results["domination"] = block
     if exacts.get("LD") is not None:
         if exacts.get("ID") is not None:
             r.check("gamma-id-at-least-ld", exacts["ID"] >= exacts["LD"])
@@ -349,8 +347,8 @@ def _domination(G: Graph, r: _Runner, budgets: Budgets, dt_closed: int | None) -
         r.check("id-equals-dt-closed", exacts["ID"] == dt_closed)
 
 
-def _tree(G: Graph, r: _Runner) -> None:
-    res = r.report.results
+def _tree(G: Graph, r: AnalysisReport) -> None:
+    res = r.results
     stats = tree_stats(G)
     tree_block = {
         "stats": {
@@ -409,5 +407,5 @@ def run_report(
     if not isinstance(instance, (Graph, Hypergraph)):
         raise TypeError("instance must be a Graph or a Hypergraph")
     report = AnalysisReport(instance=_instance_block(instance, source))
-    _analyze(instance, _Runner(report), budgets, selected)
+    _analyze(instance, report, budgets, selected)
     return report

@@ -34,18 +34,29 @@ class VcResult:
     nodes_enumerated: int
 
 
+def _shattered(H: Hypergraph, picks: list[int]) -> bool:
+    """Whether the positions ``picks`` are shattered, read off ``H.incidence``.
+
+    It counts the traces of the edges that meet the set, plus the empty
+    trace iff some distinct edge, an empty one included, misses it.
+    """
+    edges, edge_ids = H.incidence
+    meeting = set().union(*map(edge_ids.__getitem__, picks))
+    s = frozenset(picks)
+    traces = {edges[e] & s for e in meeting}
+    return len(traces) + (len(meeting) < len(H.distinct_edges)) == 1 << len(picks)
+
+
 def is_shattered(H: Hypergraph, subset) -> bool:
     """True iff every subset of ``subset`` occurs as a trace.
 
     The empty subset must be realized by an actual edge disjoint from
     ``subset``; it is not granted vacuously.
     """
-    smask = H.mask(subset)
-    size = smask.bit_count()
-    if size > SHATTER_SIZE_CAP:
+    s = H.normalize_subset(subset)
+    if len(s) > SHATTER_SIZE_CAP:
         raise BudgetExceededError(f"shattering test capped at {SHATTER_SIZE_CAP} vertices")
-    # All traces are submasks of S, so S is shattered iff all 2^|S| appear.
-    return len({em & smask for em in H.distinct_masks}) == 1 << size
+    return _shattered(H, [H.vertex_pos[v] for v in s])
 
 
 def vc_upper_bound(H: Hypergraph) -> int:
@@ -66,24 +77,16 @@ def vc_exact(H: Hypergraph, node_budget: int = SUBSET_BUDGET_DEFAULT) -> VcResul
     lexicographically first.  Its ``keep`` refuses a prefix that fewer
     than ``2^left`` distinct edges contain and narrows the prefix's
     completions to the union of those edges; neither drops a shattered
-    set.  A test counts the traces of the edges that meet the set, plus
-    the empty trace iff some distinct edge, an empty one included, misses
-    it.  ``node_budget`` bounds the sets tested.
+    set.  ``_shattered`` tests each set, as ``is_shattered`` does.
+    ``node_budget`` bounds the sets tested.
     """
     edges, edge_ids = H.incidence
-    distinct = len(H.distinct_edges)
 
     def keep(prefix: int, reach: int, p: int, left: int) -> int | bool:
         common = set(edge_ids[p]).intersection(*map(edge_ids.__getitem__, bits(prefix ^ 1 << p)))
         if len(common) < 1 << left:
             return False
         return sum(1 << q for q in set().union(*map(edges.__getitem__, common)) if q > p)
-
-    def shattered(picks: list[int]) -> bool:
-        meeting = set().union(*map(edge_ids.__getitem__, picks))
-        s = frozenset(picks)
-        traces = {edges[e] & s for e in meeting}
-        return len(traces) + (len(meeting) < distinct) == 1 << len(picks)
 
     cap = vc_upper_bound(H)
     dimension = 0
@@ -95,7 +98,7 @@ def vc_exact(H: Hypergraph, node_budget: int = SUBSET_BUDGET_DEFAULT) -> VcResul
             if nodes > node_budget:
                 raise BudgetExceededError("shattering-test budget exceeded", budget=node_budget)
             picks = list(bits(smask))
-            if shattered(picks):
+            if _shattered(H, picks):
                 dimension, witness = size, tuple(H.vertex_list[p] for p in picks)
                 break
         else:

@@ -286,3 +286,52 @@ def line_parse_hypergraph_text(text: str, allow_multi: bool = False) -> Hypergra
         seen.add(e)
         edges.append(e)
     return Hypergraph(frozenset(range(n)), tuple(edges), allow_multi=allow_multi)
+
+
+def scan_twins(G: Graph, closed: bool = True):
+    """``find_twins`` by rebuilding every neighborhood from the adjacency,
+    the reference the grouping of the side's edges must match."""
+    groups = {}
+    for v in range(G.n):
+        key = G.adj[v] | {v} if closed else G.adj[v]
+        groups.setdefault(frozenset(key), []).append(v)
+    pairs = []
+    for members in groups.values():
+        for a, b in zip(members, members[1:]):
+            pairs.append((a, b))
+    return sorted(pairs)
+
+
+def scan_feasibility(G: Graph, kind: str):
+    """(feasible, reason, pair) of a domination kind by scanning the graph,
+    the reference the reading off the neighborhood hypergraphs must match."""
+    if kind == "ID":
+        twins = scan_twins(G, closed=True)
+        if twins:
+            return False, "closed twins cannot be told apart", twins[0]
+    elif kind == "OLD":
+        isolated = [v for v in range(G.n) if not G.adj[v]]
+        if isolated:
+            return False, "isolated vertex has an empty open neighborhood", (isolated[0], isolated[0])
+        twins = scan_twins(G, closed=False)
+        if twins:
+            return False, "open twins cannot be told apart", twins[0]
+    return True, None, None
+
+
+def scan_twin_caveats(G: Graph):
+    """The twin caveats ``domination_lower_bounds`` attaches to every kind."""
+    caveats = ()
+    if scan_twins(G, closed=True):
+        caveats += ("closed twins present",)
+    if scan_twins(G, closed=False):
+        caveats += ("open twins present",)
+    return caveats
+
+
+def mask_is_shattered(H: Hypergraph, subset) -> bool:
+    """``is_shattered`` on n-bit edge masks, the reference the incidence
+    test must match: all traces are submasks of S, so S is shattered iff
+    all 2^|S| appear."""
+    smask = H.mask(subset)
+    return len({em & smask for em in H.distinct_masks}) == 1 << smask.bit_count()

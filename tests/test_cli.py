@@ -1,8 +1,10 @@
+import dataclasses
 import json
 from importlib import resources
 
 import pytest
 
+from hypertrace import report
 from hypertrace.cli import main
 
 FIXTURE = resources.files("hypertrace") / "fixtures" / "p4.graph"
@@ -115,6 +117,21 @@ def test_text_summary_undefined_hypergraph_dt(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "analyze", str(f), "--allow-multi", "--text")
     assert code == 0
     assert "dt: duplicate edges\n" in out
+
+
+def test_text_summary_infeasible_kind_and_failed_check(capsys, tmp_path, monkeypatch):
+    # A triangle with a pendant: vertices 0 and 1 are closed twins, so ID is
+    # infeasible.  A VC result above its own cap fails one check.
+    f = tmp_path / "twins.graph"
+    f.write_text("p graph 4 4\n0 1\n1 2\n0 2\n2 3\n")
+    real_vc_exact = report.vc_exact
+    monkeypatch.setattr(
+        report, "vc_exact", lambda H, **kw: dataclasses.replace(real_vc_exact(H, **kw), dimension=99)
+    )
+    code, out, _ = run_cli(capsys, "analyze", str(f), "--text")
+    assert code == 2
+    assert "gamma ID: infeasible (closed twins cannot be told apart)\n" in out
+    assert "  FAILED: vc-within-degeneracy-cap\n" in out
 
 
 def test_bench_csv(capsys):

@@ -6,6 +6,7 @@ from hypertrace import (
     Graph,
     domination_lower_bounds,
     dt_exact,
+    find_twins,
     gamma_exact,
     neighborhood_hypergraph,
     random_gnp,
@@ -14,13 +15,14 @@ from hypertrace import (
     tree_lower_bounds,
     tree_stats,
 )
+from hypertrace import domination, graphs
+from hypertrace import report as report_module
+from hypertrace.domination import KINDS, _feasibility
 from hypertrace.errors import NotATreeError
-from oracles import brute_gamma
+from oracles import brute_gamma, scan_feasibility, scan_twin_caveats, scan_twins
 
 
 def twin_free(G: Graph) -> bool:
-    from hypertrace import find_twins
-
     return (
         not find_twins(G, closed=True)
         and not find_twins(G, closed=False)
@@ -141,6 +143,58 @@ def test_lower_bounds_infeasible_caveats(star):
     assert bounds["OLD"].infeasible_pair == (1, 2)
     assert bounds["LD"].feasible
     assert any("open twins" in c for c in bounds["LD"].caveats)
+
+
+def twinned_graph(rng: random.Random) -> Graph:
+    """A G(n, p) graph grown by a few isolated vertices and open and closed
+    twins of random vertices, relabelled at random."""
+    adj = [set(s) for s in random_gnp(rng.randint(1, 8), rng.choice((0.2, 0.4, 0.7)), seed=rng).adj]
+    for _ in range(rng.randint(0, 3)):
+        v, u = rng.randrange(len(adj)), len(adj)
+        kind = rng.choice(("isolated", "open", "closed"))
+        adj.append(set() if kind == "isolated" else adj[v] | ({v} if kind == "closed" else set()))
+        for w in adj[u]:
+            adj[w].add(u)
+    label = rng.sample(range(len(adj)), len(adj))
+    return Graph.from_edges(len(adj), [(label[u], label[w]) for u in range(len(adj)) for w in adj[u] if u < w])
+
+
+def test_feasibility_and_caveats_match_the_graph_scan():
+    # The sides' empty and duplicate edges must give the reasons, pairs and
+    # caveats that scanning the graph for isolated vertices and twins gives.
+    rng = random.Random(818)
+    reasons = set()
+    for _ in range(150):
+        G = twinned_graph(rng)
+        for closed in (True, False):
+            assert find_twins(G, closed) == scan_twins(G, closed)
+        bounds = domination_lower_bounds(G)
+        caveats = scan_twin_caveats(G)
+        for kind in KINDS:
+            feasible, reason, pair = expected = scan_feasibility(G, kind)
+            assert _feasibility(G, kind) == expected
+            outcome = gamma_exact(G, kind)
+            assert (outcome.feasible, outcome.infeasible_reason, outcome.infeasible_pair) == expected
+            kb = bounds[kind]
+            assert (kb.feasible, kb.infeasible_pair) == (feasible, pair)
+            assert kb.caveats == (caveats if feasible else (reason, *caveats))
+            reasons.add(reason)
+    assert len(reasons) == 4, reasons
+
+
+def test_a_full_graph_report_finds_twins_twice(monkeypatch):
+    # The report's twin lists need one call per side; feasibility and the
+    # caveats read the sides' empty and duplicate edges instead.
+    calls = []
+
+    def counting(G, closed=True):
+        calls.append(closed)
+        return scan_twins(G, closed)
+
+    for module in (graphs, domination, report_module):
+        monkeypatch.setattr(module, "find_twins", counting)
+    assert report_module.run_report(random_gnp(16, 0.3, seed=1)).exit_code == 0
+    assert sorted(calls) == [False, True]
 
 
 def test_tree_bounds_p4(p4):

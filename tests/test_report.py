@@ -224,3 +224,36 @@ def test_validate_rejects_unknown_schema():
                 "skipped": [],
             }
         )
+
+
+def _valid_doc():
+    return {
+        "schema": 1,
+        "tool": {"name": "x", "version": "0"},
+        "instance": {"kind": "graph", "n": 1, "m": 0, "hash": "h"},
+        "results": {},
+        "checks": [],
+        "skipped": [],
+    }
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda doc: doc.pop("skipped"), "report is missing 'skipped'"),
+        (lambda doc: doc["tool"].pop("version"), "tool block must carry name and version"),
+        (lambda doc: doc["instance"].pop("hash"), "instance block is missing 'hash'"),
+        (
+            lambda doc: doc["results"].update(dt={"lower_bounds": [{"name": "b", "j": 1}]}),
+            "bound entry without exactness flag",
+        ),
+        (lambda doc: doc["checks"].append({"name": "c"}), "checks must carry name and passed"),
+    ],
+    ids=["top-level-key", "tool-block", "instance-key", "bound-exactness", "check-fields"],
+)
+def test_validate_rejects(edit, message):
+    doc = _valid_doc()
+    validate_report(doc)
+    edit(doc)
+    with pytest.raises(ValueError, match=message):
+        validate_report(doc)

@@ -18,7 +18,7 @@ from hypertrace import (
 )
 from hypertrace.bench import instance_for_weight
 from hypertrace.errors import BudgetExceededError
-from oracles import brute_is_shattered, brute_vc
+from oracles import brute_is_shattered, brute_vc, mask_is_shattered
 
 
 def random_hg(rng, max_n=8, max_m=14):
@@ -43,6 +43,29 @@ def test_shattering_cap():
     H = build_hypergraph(40, [])
     with pytest.raises(BudgetExceededError):
         is_shattered(H, set(range(31)))
+
+
+def test_is_shattered_matches_the_mask_test_on_repeated_and_empty_edges():
+    # Every set of at most four vertices, on dense and sparse ids, with
+    # duplicate and empty edges: the incidence test agrees with the n-bit
+    # mask test it replaced and with the definition.
+    rng = random.Random(31)
+    outcomes = set()
+    for i in range(120):
+        n = rng.randint(1, 8)
+        ids = rng.sample(range(2 * n), n) if i % 2 else list(range(n))
+        edges = [frozenset(rng.sample(ids, rng.randint(0, n))) for _ in range(rng.randint(0, 14))]
+        edges += rng.sample(edges, min(len(edges), 2)) + [frozenset()] * rng.randint(0, 2)
+        rng.shuffle(edges)
+        H = Hypergraph(frozenset(ids), tuple(edges), True)
+        for size in range(min(n, 4) + 1):
+            for S in combinations(sorted(ids), size):
+                expected = mask_is_shattered(H, S)
+                assert is_shattered(H, S) == expected == brute_is_shattered(H, S), (H.edges, S)
+                outcomes.add((size, expected))
+    assert {(s, b) for s in range(4) for b in (True, False)} <= outcomes, outcomes
+    with pytest.raises(ValueError, match="not in the hypergraph"):
+        is_shattered(H, {max(ids) + 1})
 
 
 def test_upper_bound_formula(tri):
