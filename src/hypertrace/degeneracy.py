@@ -17,6 +17,21 @@ say nothing about which vertex subsets can be separated, and keeping them
 would break the pseudo <= reduced <= classic ordering on multi-edge inputs
 (duplicates inflate pseudo-peel degrees while restrictions collapse them).
 Callers that care about multiplicities should consult ``degree_profile``.
+
+Both peels pick their next vertex from one bucket queue, after Matula and
+Beck (1983) and Batagelj and Zaversnik (2003), that keeps ties on the
+lowest position, so peel orders are reproducible.  ``heaps[d]`` is a
+min-heap of positions: at the start every position is appended to the
+level of its degree in ascending order, so each level is already a heap.
+A position whose degree falls to ``d`` is appended to ``pending[d]``, an
+append-only list, and the current level ``cur`` drops to the lowest degree
+any decrement of the step reached.  At level ``cur`` the queue first
+pushes into ``heaps[cur]`` each pending entry still live and still at
+degree ``cur``, then pops the lowest position, skipping stale entries; an
+empty level steps ``cur`` up by one.  Degrees only fall, so no level below
+``cur`` holds a live vertex and the pop is the lowest live position of
+minimum degree.  The work is linear in the edge weight plus a log-cost push
+for each entry that reaches the current level.
 """
 
 from __future__ import annotations
@@ -24,7 +39,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import reduce
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from operator import xor
 
 from .hypergraph import Hypergraph
@@ -68,6 +83,40 @@ class DegeneracyTriple:
         return self.classic
 
 
+def _levels(H: Hypergraph, deg: list[int]) -> tuple[list[list[int]], list[list[int]]]:
+    """The bucket queue's ``heaps`` and empty ``pending`` lists over ``deg``.
+
+    On the dense range a position is its vertex id, so the heaps hold
+    ``vertex_list``'s own ints and make none.
+    """
+    top = max(deg, default=0)
+    heaps: list[list[int]] = [[] for _ in range(top + 1)]
+    for p, d in zip(H.vertex_list if H.is_dense else range(len(deg)), deg):
+        heaps[d].append(p)
+    return heaps, [[] for _ in range(top + 1)]
+
+
+def _take(
+    heaps: list[list[int]], pending: list[list[int]], deg: list[int], removed: bytearray, cur: int
+) -> tuple[int, int]:
+    """The lowest live position of minimum degree and that degree, searched
+    from level ``cur`` up: each level first takes in its pending entries
+    still live and at its degree, then pops past its stale entries."""
+    while True:
+        heap = heaps[cur]
+        fresh = pending[cur]
+        if fresh:
+            for u in fresh:
+                if deg[u] == cur and not removed[u]:
+                    heappush(heap, u)
+            fresh.clear()
+        while heap:
+            v = heappop(heap)
+            if deg[v] == cur and not removed[v]:
+                return v, cur
+        cur += 1
+
+
 def peel_degeneracy(H: Hypergraph) -> PeelResult:
     """Classic degeneracy by peeling with trace deduplication.
 
@@ -83,15 +132,15 @@ def peel_degeneracy(H: Hypergraph) -> PeelResult:
     """
     verts = H.vertex_list
     n = len(verts)
-    edges, edge_ids = H.incidence
+    edges, edge_ids, members = H.incidence
     draw = _KEY_SOURCE.getrandbits
     key = [draw(HASH_KEY_BITS) for _ in range(n)]
 
     # A class is alive while live[cid] > 0.  Buckets map a trace hash to a
     # bare class id, escalated to a list on a collision of distinct traces.
-    live = list(map(len, edges))
+    live = list(map(len, members))
     getkey = key.__getitem__
-    thash = [reduce(xor, map(getkey, e)) for e in edges]
+    thash = [reduce(xor, map(getkey, e)) for e in members]
     buckets: dict[int, int | list[int]] = {}
     for cid, h in enumerate(thash):
         slot = buckets.setdefault(h, cid)
@@ -103,21 +152,15 @@ def peel_degeneracy(H: Hypergraph) -> PeelResult:
     deg = list(map(len, edge_ids))
     removed = bytearray(n)
 
-    # Heap entries are deg * n + vertex: min degree first, lowest id on ties.
-    heap = [d * n + p for p, d in enumerate(deg)]
-    heapify(heap)
+    heaps, pending = _levels(H, deg)
     order: list[int] = []
     seq: list[int] = []
-    push = heappush
-    count = 0
-    while count < n:
-        d, v = divmod(heappop(heap), n)
-        if removed[v] or d != deg[v]:
-            continue
+    cur = 0
+    for _ in verts:
+        v, cur = _take(heaps, pending, deg, removed, cur)
         removed[v] = 1
-        count += 1
         order.append(verts[v])
-        seq.append(d)
+        seq.append(cur)
         kv = key[v]
         for cid in edge_ids[v]:
             c = live[cid]
@@ -134,7 +177,8 @@ def peel_degeneracy(H: Hypergraph) -> PeelResult:
                 continue
             newh = oldh ^ kv
             occupant = buckets.setdefault(newh, cid)
-            if occupant == cid:
+            # setdefault hands back cid itself when the hash was free.
+            if occupant is cid:
                 thash[cid] = newh
                 continue
             # Two classes carry the same trace when their live counts are
@@ -154,10 +198,12 @@ def peel_degeneracy(H: Hypergraph) -> PeelResult:
             if same:
                 # The survivors lose one class.
                 live[cid] = 0
-                for u in e:
+                for u in members[cid]:
                     if not removed[u]:
                         du = deg[u] = deg[u] - 1
-                        push(heap, du * n + u)
+                        pending[du].append(u)
+                        if du < cur:
+                            cur = du
             else:
                 # Distinct traces sharing a hash: chain them.
                 thash[cid] = newh
@@ -175,31 +221,29 @@ def peel_pseudo_degeneracy(H: Hypergraph) -> PeelResult:
     edge still containing it; remaining edges are untouched.
     """
     verts = H.vertex_list
-    n = len(verts)
-    edges, edge_ids = H.incidence
+    _, edge_ids, members = H.incidence
     deg = list(map(len, edge_ids))
-    alive = bytearray(b"\x01") * len(edges)
+    alive = bytearray(b"\x01") * len(members)
 
-    heap = [d * n + p for p, d in enumerate(deg)]
-    heapify(heap)
-    removed = bytearray(n)
+    heaps, pending = _levels(H, deg)
+    removed = bytearray(len(verts))
     order: list[int] = []
     seq: list[int] = []
-    push = heappush
-    while len(order) < n:
-        d, v = divmod(heappop(heap), n)
-        if removed[v] or d != deg[v]:
-            continue
+    cur = 0
+    for _ in verts:
+        v, cur = _take(heaps, pending, deg, removed, cur)
         removed[v] = 1
         order.append(verts[v])
-        seq.append(d)
+        seq.append(cur)
         for i in edge_ids[v]:
             if alive[i]:
                 alive[i] = 0
-                for u in edges[i]:
+                for u in members[i]:
                     if u != v:
                         du = deg[u] = deg[u] - 1
-                        push(heap, du * n + u)
+                        pending[du].append(u)
+                        if du < cur:
+                            cur = du
     return PeelResult(tuple(order), tuple(seq), max(seq, default=0))
 
 

@@ -28,10 +28,16 @@ def bits(mask: int) -> Iterator[int]:
 
 class Incidence(NamedTuple):
     """Distinct nonempty edges over positions in ``vertex_list``, in
-    first-occurrence order, with the ids of the edges at each position."""
+    first-occurrence order, with the ids of the edges at each position.
+
+    ``edges`` holds each edge as a set, for the set algebra of the classic
+    peel's merge test and of the shattering test; ``members`` holds the
+    same positions as a tuple, for the loops that only visit them.
+    """
 
     edges: tuple[frozenset[int], ...]
     edge_ids: tuple[tuple[int, ...], ...]
+    members: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -97,29 +103,37 @@ class Hypergraph:
         """Edges as bit vectors over positions in ``vertex_list``.
 
         Only intended for desk-scale enumeration; large instances should
-        read the per-vertex edge ids of ``incidence`` instead.
+        read the per-vertex edge ids of ``incidence`` instead.  The trace
+        values a report asks for at every size, ``T_0``, ``T_1`` and
+        ``T_n``, take closed forms on the incidence and build no masks.
         """
         return tuple(map(self.mask, self.edges))
 
     @cached_property
     def incidence(self) -> Incidence:
-        """The one incidence structure of this value, shared by both peels
-        and ``max_degree_bound``.
+        """The one incidence structure of this value, shared by both peels,
+        ``max_degree_bound``, the VC search and the closed-form trace values.
 
-        On the dense range [0, n) a position is its vertex id, so the edges
-        are the distinct nonempty edges themselves, not copies.
+        On the dense range [0, n) a position is its vertex id, so the edge
+        sets are the distinct nonempty edges themselves, not copies, and
+        the member tuples hold the edges' own ints.  Off it, both hold the
+        ints of ``vertex_pos``.  Either way no int is made per member.
         """
         n = self.n
         if self.is_dense:
-            edges = tuple(filter(None, self.distinct_edges))
+            edges = self.distinct_edges
+            if not all(edges):
+                edges = tuple(filter(None, edges))
+            members = tuple(map(tuple, edges))
         else:
             getpos = self.vertex_pos.__getitem__
-            edges = tuple(frozenset(map(getpos, e)) for e in self.distinct_edges if e)
+            members = tuple([tuple(map(getpos, e)) for e in self.distinct_edges if e])
+            edges = tuple(map(frozenset, members))
         lists: list[list[int]] = [[] for _ in range(n)]
-        for i, e in enumerate(edges):
+        for i, e in enumerate(members):
             for p in e:
                 lists[p].append(i)
-        return Incidence(edges, tuple(map(tuple, lists)))
+        return Incidence(edges, tuple(map(tuple, lists)), members)
 
     @cached_property
     def distinct_masks(self) -> tuple[int, ...]:

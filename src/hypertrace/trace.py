@@ -54,6 +54,13 @@ def trace_function_exact(
     some edge misses ``W``: no k-set has more, and every earlier one has at
     most ``T_k``.  Only a strictly larger count replaces the witness, so no
     cut can change it.
+    Sizes 0, 1 and n take closed forms on ``H.incidence``, with the same
+    values and witnesses and no n-bit mask (``_closed_form``): ``T_0`` is
+    0 on the empty set (1 with the empty trace when there is an edge);
+    ``T_1`` is 1 at the first vertex of nonzero degree (2 with the empty
+    trace, at the first vertex in some distinct edges but not all); ``T_n``
+    is the number of distinct nonempty edges (of distinct edges with the
+    empty trace) on the whole vertex set.
     Refuses instances whose C(n, k) exceeds ``subset_budget``, whether or
     not the value is already in ``H.trace_memo``; otherwise each value is
     enumerated once per hypergraph and then served from the memo.
@@ -69,6 +76,9 @@ def trace_function_exact(
     key = (k, include_empty)
     if key in memo:
         return memo[key]
+    if k in (0, 1, H.n):
+        memo[key] = result = _closed_form(H, k, include_empty)
+        return result
     masks = H.distinct_masks
     if include_empty and (k, False) in memo:
         value, witness = memo[(k, False)]
@@ -117,6 +127,27 @@ def trace_function_exact(
     result = (best, tuple(verts[p] for p in bits(best_mask)))
     memo[key] = result
     return result
+
+
+def _closed_form(H: Hypergraph, k: int, include_empty: bool) -> tuple[int, tuple[int, ...]]:
+    """``trace_function_exact`` for k in {0, 1, n}, read off the incidence.
+
+    With D distinct edges (an empty one included) and d(v) of them
+    containing v: ``T_n`` is the number of distinct nonempty edges, or D
+    with the empty trace, on the one n-set, and ``T_0`` is 0, or 1 when
+    D > 0, on the empty set.  A vertex v carries the trace {v} iff
+    d(v) > 0 and the empty trace iff d(v) < D, so ``T_1`` is the largest
+    such count, at the first vertex that has it.
+    """
+    verts = H.vertex_list
+    distinct = len(H.distinct_edges)
+    if k == H.n:
+        return (distinct if include_empty else len(H.incidence.edges)), verts
+    if k == 0:
+        return int(include_empty and distinct > 0), ()
+    counts = [(d > 0) + (include_empty and d < distinct) for d in map(len, H.incidence.edge_ids)]
+    best = max(counts)
+    return best, (verts[counts.index(best)],)
 
 
 def walk(n: int, k: int, keep: Callable[[int, int, int, int], int | bool | None]) -> Iterator[int]:

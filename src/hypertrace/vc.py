@@ -40,7 +40,7 @@ def _shattered(H: Hypergraph, picks: list[int]) -> bool:
     It counts the traces of the edges that meet the set, plus the empty
     trace iff some distinct edge, an empty one included, misses it.
     """
-    edges, edge_ids = H.incidence
+    edges, edge_ids, _ = H.incidence
     meeting = set().union(*map(edge_ids.__getitem__, picks))
     s = frozenset(picks)
     traces = {edges[e] & s for e in meeting}
@@ -80,7 +80,7 @@ def vc_exact(H: Hypergraph, node_budget: int = SUBSET_BUDGET_DEFAULT) -> VcResul
     set.  ``_shattered`` tests each set, as ``is_shattered`` does.
     ``node_budget`` bounds the sets tested.
     """
-    edges, edge_ids = H.incidence
+    edges, edge_ids, _ = H.incidence
 
     def keep(prefix: int, reach: int, p: int, left: int) -> int | bool:
         common = set(edge_ids[p]).intersection(*map(edge_ids.__getitem__, bits(prefix ^ 1 << p)))

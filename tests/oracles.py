@@ -7,9 +7,14 @@ between the two is meaningful evidence.
 
 import warnings
 from collections import Counter
+from functools import reduce
+from heapq import heapify, heappop, heappush
 from itertools import chain, combinations
 from math import comb
+from operator import xor
 
+from hypertrace import degeneracy
+from hypertrace.degeneracy import PeelResult
 from hypertrace.errors import BudgetExceededError, FormatError
 from hypertrace.graphs import Graph
 from hypertrace.hypergraph import Hypergraph
@@ -105,6 +110,131 @@ def brute_classic_peel(H: Hypergraph):
 def brute_reduced(H: Hypergraph) -> int:
     """Reduced degeneracy: the largest pseudo-peel value over all restrictions."""
     return max(brute_pseudo_peel(S, brute_restriction_edges(H, S)) for S in subsets(H.vertices))
+
+
+def heap_peel_degeneracy(H: Hypergraph) -> PeelResult:
+    """The classic peel on one heap keyed ``deg * n + position``, the
+    reference the bucket-queue peel must match in order and degree
+    sequence.  It reads the key width from the package at call time, so a
+    test that narrows the keys narrows them here too."""
+    verts = H.vertex_list
+    n = len(verts)
+    edges, edge_ids, _ = H.incidence
+    draw = degeneracy._KEY_SOURCE.getrandbits
+    key = [draw(degeneracy.HASH_KEY_BITS) for _ in range(n)]
+
+    # A class is alive while live[cid] > 0.  Buckets map a trace hash to a
+    # bare class id, escalated to a list on a collision of distinct traces.
+    live = list(map(len, edges))
+    getkey = key.__getitem__
+    thash = [reduce(xor, map(getkey, e)) for e in edges]
+    buckets: dict[int, int | list[int]] = {}
+    for cid, h in enumerate(thash):
+        slot = buckets.setdefault(h, cid)
+        if slot != cid:
+            if type(slot) is list:
+                slot.append(cid)
+            else:
+                buckets[h] = [slot, cid]
+    deg = list(map(len, edge_ids))
+    removed = bytearray(n)
+
+    # Heap entries are deg * n + vertex: min degree first, lowest id on ties.
+    heap = [d * n + p for p, d in enumerate(deg)]
+    heapify(heap)
+    order: list[int] = []
+    seq: list[int] = []
+    push = heappush
+    count = 0
+    while count < n:
+        d, v = divmod(heappop(heap), n)
+        if removed[v] or d != deg[v]:
+            continue
+        removed[v] = 1
+        count += 1
+        order.append(verts[v])
+        seq.append(d)
+        kv = key[v]
+        for cid in edge_ids[v]:
+            c = live[cid]
+            if not c:
+                continue
+            oldh = thash[cid]
+            slot = buckets.pop(oldh)
+            if type(slot) is list:
+                slot.remove(cid)
+                if slot:
+                    buckets[oldh] = slot
+            live[cid] = c = c - 1
+            if not c:
+                continue
+            newh = oldh ^ kv
+            occupant = buckets.setdefault(newh, cid)
+            if occupant == cid:
+                thash[cid] = newh
+                continue
+            # Two classes carry the same trace when their live counts are
+            # equal and every vertex of one original edge outside the other
+            # is removed.  A class not yet re-keyed for the vertex just
+            # removed still counts it, so it never passes.
+            e = edges[cid]
+            same = False
+            for o in occupant if type(occupant) is list else (occupant,):
+                if live[o] == c:
+                    for u in e - edges[o]:
+                        if not removed[u]:
+                            break
+                    else:
+                        same = True
+                        break
+            if same:
+                # The survivors lose one class.
+                live[cid] = 0
+                for u in e:
+                    if not removed[u]:
+                        du = deg[u] = deg[u] - 1
+                        push(heap, du * n + u)
+            else:
+                # Distinct traces sharing a hash: chain them.
+                thash[cid] = newh
+                if type(occupant) is list:
+                    occupant.append(cid)
+                else:
+                    buckets[newh] = [occupant, cid]
+    return PeelResult(tuple(order), tuple(seq), max(seq, default=0))
+
+
+def heap_peel_pseudo_degeneracy(H: Hypergraph) -> PeelResult:
+    """The pseudo peel on one heap keyed ``deg * n + position``, the
+    reference the bucket-queue peel must match in order and degree
+    sequence."""
+    verts = H.vertex_list
+    n = len(verts)
+    edges, edge_ids, _ = H.incidence
+    deg = list(map(len, edge_ids))
+    alive = bytearray(b"\x01") * len(edges)
+
+    heap = [d * n + p for p, d in enumerate(deg)]
+    heapify(heap)
+    removed = bytearray(n)
+    order: list[int] = []
+    seq: list[int] = []
+    push = heappush
+    while len(order) < n:
+        d, v = divmod(heappop(heap), n)
+        if removed[v] or d != deg[v]:
+            continue
+        removed[v] = 1
+        order.append(verts[v])
+        seq.append(d)
+        for i in edge_ids[v]:
+            if alive[i]:
+                alive[i] = 0
+                for u in edges[i]:
+                    if u != v:
+                        du = deg[u] = deg[u] - 1
+                        push(heap, du * n + u)
+    return PeelResult(tuple(order), tuple(seq), max(seq, default=0))
 
 
 def brute_is_shattered(H: Hypergraph, S) -> bool:

@@ -26,6 +26,8 @@ from oracles import (
     brute_pseudo_peel_order,
     brute_reduced,
     brute_restriction_edges,
+    heap_peel_degeneracy,
+    heap_peel_pseudo_degeneracy,
     min_degree,
     subsets,
 )
@@ -217,6 +219,67 @@ def test_peel_orders_match_golden_digests_at_scale(monkeypatch):
     H = instance_for_weight(2_000, seed=3)
     assert digest(peel_degeneracy(H)) == "a79843b19d578254a44e3b09544450fd20172b632586a083bf073d6217d630e3"
     assert digest(peel_pseudo_degeneracy(H)) == "d2a614871c3dc5eb71820a9e104a17f7757a9a6a1c864d7e29c36f45400cadc9"
+
+
+def _deep_drop_hypergraphs():
+    """Sunflowers (two core vertices in every petal) and fans (a vertex v
+    whose edges with u shrink onto edges u already has), with noise edges
+    that keep the other degrees up.  In both, one removal can drop a
+    neighbour two or more levels below the degree it was removed at: the
+    pseudo peel deletes every petal with the first core vertex, and the
+    classic peel merges several of u's classes when v goes."""
+    rng = random.Random(1983)
+    out = []
+    for _ in range(30):
+        n = rng.randint(8, 14)
+        a, b, *rest = rng.sample(range(n), n)
+        k = rng.randint(2, 5)
+        petals = [frozenset({a, b, *rng.sample(rest, rng.randint(1, 2))}) for _ in range(k)]
+        fans = [frozenset({a, x}) for x in rest[:k]] + [frozenset({a, b, x}) for x in rest[:k]]
+        fans += [frozenset({b, y}) for y in rest[k : 2 * k]]
+        for planted in (petals, fans):
+            noise = [frozenset(rng.sample(rest, rng.randint(2, 4))) for _ in range(rng.randint(k, 4 * k))]
+            out.append(build_hypergraph(n, planted + noise, allow_multi=True))
+    return out
+
+
+def _deep_drops(H, pseudo):
+    """Steps of a frozenset replay of the peel at which some remaining
+    vertex falls two or more below the degree the step removed at."""
+    remaining, alive, drops = set(H.vertices), {e for e in H.edges if e}, 0
+    order = (brute_pseudo_peel_order(H.vertices, H.edges) if pseudo else brute_classic_peel(H))[0]
+    for v in order:
+        edges = alive if pseudo else {e & remaining for e in H.edges} - {frozenset()}
+        at = sum(1 for e in edges if v in e)
+        remaining.discard(v)
+        if pseudo:
+            alive = {e for e in alive if v not in e}
+            after = alive
+        else:
+            after = {e & remaining for e in H.edges} - {frozenset()}
+        if any(sum(1 for e in after if u in e) <= at - 2 for u in remaining):
+            drops += 1
+    return drops
+
+
+def test_bucket_queue_peels_match_the_heap_peels(monkeypatch):
+    # Order and degree sequence against the deg * n + position heap on
+    # small multi-edge inputs, on inputs where a removal drops a neighbour
+    # two levels or more below the current one, on the bench instances,
+    # and on two long edges that differ in one vertex.
+    deep = _deep_drop_hypergraphs()
+    assert sum(_deep_drops(H, pseudo=True) for H in deep) > 0
+    assert sum(_deep_drops(H, pseudo=False) for H in deep) > 0
+    long_pair = build_hypergraph(3_001, [range(3_000), [*range(2_999), 3_000]])
+    cases = _peel_test_hypergraphs() + deep + [long_pair]
+    cases += [instance_for_weight(20_000, seed) for seed in (0, 1, 2)]
+    for H in cases:
+        assert peel_degeneracy(H) == heap_peel_degeneracy(H), H.edges
+        assert peel_pseudo_degeneracy(H) == heap_peel_pseudo_degeneracy(H), H.edges
+    for bits in (1, 2):
+        monkeypatch.setattr(degeneracy, "HASH_KEY_BITS", bits)
+        for H in _peel_test_hypergraphs() + deep + [long_pair]:
+            assert peel_degeneracy(H) == heap_peel_degeneracy(H), (bits, H.edges)
 
 
 def test_peels_memory_at_100k_weight():

@@ -12,6 +12,7 @@ from hypertrace import (
     neighborhood_hypergraph,
     random_gnp,
     reduced_degeneracy,
+    restriction,
     sauer_shelah_bound,
     trace_bound_profile,
     trace_count_lower_bound,
@@ -19,9 +20,11 @@ from hypertrace import (
     vc_exact,
 )
 from hypertrace import trace
+from hypertrace.bench import instance_for_weight
 from hypertrace.errors import BudgetExceededError, MultiEdgeError
 from hypertrace.generate import random_hypergraph, random_tree
-from hypertrace.trace import reaches, walk
+from hypertrace.trace import J_MAX, reaches, walk
+from conftest import random_hypergraph_instances
 from oracles import brute_trace_function, counter_reaches, recursive_walk
 
 
@@ -134,6 +137,40 @@ def test_exact_does_not_depend_on_call_order():
         rng.shuffle(keys)
         for key in keys:
             assert trace_function_exact(shuffled, *key) == want[key], (H.edges, key, keys)
+
+
+def test_closed_forms_match_the_oracle():
+    # T_0, T_1 and T_n read off the incidence: multi-edge instances, each
+    # also with an empty edge and as a restriction off the dense id range,
+    # asked fresh and after the nonempty value is memoised.
+    cases = []
+    for H in random_hypergraph_instances(50, seed=1983, max_n=8, max_m=12, allow_multi=True):
+        with_empty = Hypergraph(H.vertices, H.edges + (frozenset(),), allow_multi=True)
+        cases += [H, with_empty, restriction(with_empty, sorted(H.vertices)[1::2])]
+    cases += [build_hypergraph(0, []), build_hypergraph(0, [set()]), build_hypergraph(3, [set()])]
+    for H in cases:
+        for k in sorted({0, 1, H.n} & set(range(H.n + 1))):
+            for include_empty in (False, True):
+                want = brute_trace_function(H, k, include_empty)
+                fresh = Hypergraph(H.vertices, H.edges, H.allow_multi)
+                assert trace_function_exact(fresh, k, include_empty) == want, (H.edges, k)
+                primed = Hypergraph(H.vertices, H.edges, H.allow_multi)
+                trace_function_exact(primed, k)
+                assert trace_function_exact(primed, k, include_empty) == want, (H.edges, k)
+                for built in (fresh, primed):
+                    assert "edge_masks" not in built.__dict__
+
+
+def test_report_trace_sizes_build_no_masks_at_scale():
+    # A report's k = 1 and k = n profiles ask for T_0, T_1 and T_n, whose
+    # n-bit masks would take about 2 GB at 1M edge weight.
+    H = instance_for_weight(100_000)
+    for k in (1, H.n):
+        profile = trace_bound_profile(H, k, j_max=J_MAX)
+        assert profile.exact is not None and profile.exact_with_empty is not None
+    assert "edge_masks" not in H.__dict__
+    assert "distinct_masks" not in H.__dict__
+    assert trace_function_exact(H, H.n) == (len(H.incidence.edges), H.vertex_list)
 
 
 @pytest.mark.parametrize(
