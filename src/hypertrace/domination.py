@@ -63,8 +63,11 @@ def gamma_exact(G: Graph, kind: str, subset_budget: int = SUBSET_BUDGET_DEFAULT)
     Infeasible inputs (closed twins for ID, open twins or isolated
     vertices for OLD) yield a structured report naming a violating pair
     instead of an exact value.  The search (``separating_set``) ascends
-    through subset sizes from an information-theoretic floor, so the first
-    hit is minimum and the lexicographically first witness is reported.
+    through subset sizes, so the first hit is minimum and the
+    lexicographically first witness is reported.  It starts past every
+    size k whose ``T_k``, memoised on the neighborhood hypergraph, is below
+    the labels a k-set must give (n, or n - k for LD), and for ID and OLD a
+    memoised ``T_k = n`` is the answer with its witness.
     It runs on the cached neighborhood hypergraph and is memoised there:
     ID shares its outcome with ``dt_exact`` on the closed neighborhoods,
     OLD with ``dt_exact`` on the open ones, and a budget that a search of

@@ -80,6 +80,14 @@ def separating_set(
     (positions up to the last pick, outside the picks) are asked about.
     The cut is sound, so the witness is still the first minimum set.
 
+    The search also reads the nonempty ``T_k`` memoised in ``H.trace_memo``
+    (a snapshot of it), since a k-set gives at most ``T_k`` rows distinct
+    nonempty labels.  It starts past every size whose ``T_k`` is below the
+    labels needed, and without ``selected_exempt`` a memoised ``T_k`` equal
+    to ``len(rows)`` at the size reached is the answer: its witness is the
+    first k-set that carries that many traces, so DT(H) is the least k
+    with ``T_k = |E|``.  Neither changes the witness or its rank.
+
     The budget bounds one number, the witness's rank in the plain
     size-ascending enumeration of every candidate: the search raises
     "<search> search budget exceeded" iff that rank exceeds ``budget``,
@@ -94,8 +102,11 @@ def separating_set(
         return witness
     if witness is not None or budget <= count:
         raise BudgetExceededError(f"{search} search budget exceeded", budget=budget)
+    # A snapshot: another thread may add to the trace memo meanwhile.
+    entries = tuple(H.trace_memo.items())
+    traces = {k: (t, H.mask(w)) for (k, empty), (t, w) in entries if not empty}
     try:
-        witness, rank = _search(H.edge_masks, H.n, budget, search, selected_exempt)
+        witness, rank = _search(H.edge_masks, H.n, budget, search, selected_exempt, traces)
     except BudgetExceededError:
         memo[selected_exempt] = (None, budget)
         raise
@@ -104,11 +115,24 @@ def separating_set(
 
 
 def _search(
-    rows: Sequence[int], n: int, budget: int, search: str, selected_exempt: bool
+    rows: Sequence[int],
+    n: int,
+    budget: int,
+    search: str,
+    selected_exempt: bool,
+    traces: dict[int, tuple[int, int]],
 ) -> tuple[tuple[int, ...], int]:
     """The separating set and its rank in the size-ascending enumeration:
     ``done``, the sets of the sizes before its own, plus its ``_rank``
     within its size, plus 1.
+
+    ``traces`` maps k to a memoised nonempty ``T_k`` and its witness mask.
+    ``T_k`` never falls as k grows while the labels needed never rise, so
+    every size up to the last k with ``T_k`` below them fails: the search
+    starts after it, and ``done`` counts the skipped sizes' sets in full.
+    Without exempt rows, a size whose ``T_k`` is ``len(rows)`` returns the
+    memoised witness at its rank, under the same budget test, and walks
+    no set.
 
     Only that rank is budgeted, so the cut needs no accounting.  A size
     that would start past the budget raises at once, and in the size where
@@ -132,14 +156,23 @@ def _search(
             needy = rows
         return reaches(needy, prefix, reach, left, False, len(needy))
 
-    start = next(
-        s for s in range(n + 1) if (1 << s) - 1 >= len(rows) - (s if selected_exempt else 0)
-    )
-    done = 0
+    def needed(k: int) -> int:
+        # The labels a k-set must give: one per row it may not exempt.
+        return len(rows) - (k if selected_exempt else 0)
+
+    floor = next(s for s in range(n + 1) if (1 << s) - 1 >= needed(s))
+    start = max([floor, *(k + 1 for k, (t, _) in traces.items() if t < needed(k))])
+    done = sum(comb(n, s) for s in range(floor, start))
     for size in range(start, n + 1):
         room = budget - done
         total = comb(n, size)
-        if room > 0:
+        t, wmask = traces.get(size, (0, 0))
+        if not selected_exempt and t == len(rows):
+            # The first k-set with T_k distinct nonempty traces separates.
+            rank = _rank(n, wmask)
+            if rank < room:
+                return tuple(bits(wmask)), done + rank + 1
+        elif room > 0:
             for smask in walk(n, size, keep):
                 if room < total and _rank(n, smask) >= room:
                     break
@@ -174,10 +207,13 @@ def dt_exact(H: Hypergraph, subset_budget: int = SUBSET_BUDGET_DEFAULT) -> DtRes
     """Minimum-size distinguishing transversal by size-ascending search.
 
     The whole vertex set always works for a simple hypergraph without empty
-    edges, so ``separating_set`` over the edge masks terminates.  Its
-    outcome is memoised on ``H``, so a later search of the same masks
-    (``gamma_exact`` for ID or OLD on a cached neighborhood hypergraph)
-    is answered without searching again.  ``subset_budget`` bounds the
+    edges, so ``separating_set`` over the edge masks terminates.  DT(H) is
+    the least k with ``T_k(H) = |E|``, so the search starts past the sizes
+    whose memoised ``T_k`` falls short and takes the witness of a memoised
+    ``T_k = |E|`` without testing a set; on a fresh ``H`` it walks from the
+    ``2^k - 1 >= |E|`` floor.  Its outcome is memoised on ``H``, so a later
+    search of the same masks (``gamma_exact`` for ID or OLD on a cached
+    neighborhood hypergraph) is answered without searching again.  ``subset_budget`` bounds the
     witness's rank in the plain size-ascending order of candidate sets.
     """
     _require_simple(H)

@@ -1,5 +1,6 @@
 import random
 import sys
+import threading
 from fractions import Fraction
 from itertools import combinations, islice
 from math import ceil, comb, log2
@@ -21,6 +22,7 @@ from hypertrace import (
 from hypertrace.errors import BudgetExceededError, MultiEdgeError
 from hypertrace.generate import random_gnp, random_tree
 from hypertrace.hypergraph import bits
+from hypertrace.trace import trace_function_exact
 from hypertrace.transversal import _rank, separating_set
 from oracles import brute_dt, plain_separating_set
 
@@ -314,6 +316,135 @@ def test_an_exact_cut_keeps_the_budget_outcome(monkeypatch):
                 ), (H.edges, exempt, budget)
             checked += 1
     assert checked > 400 and refused
+
+
+def _trace_table(H):
+    """Every exact ``T_k`` of ``H``, with and without the empty trace, as
+    ``trace_memo`` entries computed on a copy."""
+    source = Hypergraph(H.vertices, H.edges, H.allow_multi)
+    for k in range(H.n + 1):
+        for include_empty in (False, True):
+            trace_function_exact(source, k, include_empty)
+    return list(source.trace_memo.items())
+
+
+def test_separating_set_reads_the_trace_memo():
+    """With none, some or all of the exact ``T_k`` memoised, the search
+    returns the plain enumeration's witness at its rank and raises exactly
+    where it does, with and without exempt rows: at budgets rank - 1, rank
+    and rank + 1, and at a budget that ends inside a size the memo lets it
+    skip.  Sizes whose ``T_k`` is below the labels needed are charged in
+    full, and a memoised ``T_k = |rows|`` is the witness at size k."""
+    rng = random.Random(31)
+    checked = skipped = hits = 0
+    for H, _ in _separating_cases(rng):
+        table = _trace_table(H)
+        for exempt in (False, True):
+            want = plain_separating_set(H.edge_masks, H.n, 10**7, exempt)
+            if want is None:
+                continue
+            rank = _plain_rank(H.n, H.edge_masks, want, exempt)
+            needed = [len(H.edge_masks) - (k if exempt else 0) for k in range(H.n + 1)]
+            floor = next(s for s in range(H.n + 1) if (1 << s) - 1 >= needed[s])
+            plain = {}
+            for primed in ([], rng.sample(table, rng.randint(1, len(table))), table):
+                nonempty = {k: t for (k, empty), (t, _) in primed if not empty}
+                start = max([floor, *(k + 1 for k, t in nonempty.items() if t < needed[k])])
+                budgets = [rank - 1, rank, rank + 1]
+                if start > floor:
+                    size = rng.randrange(floor, start)
+                    before = sum(comb(H.n, s) for s in range(floor, size))
+                    budgets.append(before + rng.randint(1, comb(H.n, size)))
+                    skipped += 1
+                hits += not exempt and nonempty.get(len(want)) == len(H.edge_masks)
+                for budget in budgets:
+                    fresh = Hypergraph(H.vertices, H.edges, H.allow_multi)
+                    fresh.trace_memo.update(primed)
+                    if budget not in plain:
+                        plain[budget] = _plain_outcome(H.edge_masks, H.n, budget, exempt)
+                    outcome = _outcome(fresh, budget, exempt)
+                    assert outcome == plain[budget], (H.edges, exempt, budget, primed)
+                    if outcome != "raise":
+                        assert fresh.separating_memo[exempt] == (want, rank)
+                checked += 1
+    assert checked > 1_500 and skipped > 200 and hits > 300, (checked, skipped, hits)
+
+
+def test_separating_set_reads_a_trace_memo_filled_meanwhile():
+    """Threads that fill a hypergraph's trace memo while others run the
+    separating search on it, at rising budgets up to the witness's rank,
+    neither break a search nor move its outcome: the search reads a
+    snapshot of the memo, never the live dict."""
+    rng = random.Random(37)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(120):
+            H = random_simple(rng, max_n=10, max_m=20, min_m=8)
+            want = []
+            for exempt in (False, True):
+                witness = plain_separating_set(H.edge_masks, H.n, 10**7, exempt)
+                rank = _plain_rank(H.n, H.edge_masks, witness, exempt)
+                want += [(exempt, b, None) for b in range(1, min(rank, 40))]
+                want.append((exempt, rank, witness))
+            got, errors = [], []
+            start = threading.Barrier(4)
+
+            def fill(include_empty):
+                for k in range(H.n + 1):
+                    trace_function_exact(H, k, include_empty)
+
+            def search(exempt):
+                for budget in [b for x, b, _ in want if x == exempt]:
+                    try:
+                        got.append((exempt, budget, separating_set(H, budget, "stress", exempt)))
+                    except BudgetExceededError:
+                        got.append((exempt, budget, None))
+
+            def run(job, arg):
+                start.wait()
+                try:
+                    job(arg)
+                except Exception as exc:  # a thread's exception would otherwise be lost
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=run, args=(job, arg))
+                for job in (fill, search)
+                for arg in (False, True)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors, errors
+            assert sorted(got, key=str) == sorted(want, key=str), H.edges
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_report_reads_dt_off_the_trace_table(monkeypatch):
+    """A graph report memoises the small ``T_k`` on both sides before its
+    searches: DT-closed and DT-open then test no set, and LD walks from
+    the first size whose memoised ``T_k`` leaves enough labels.  The
+    plain search tested 225 sets for DT and 1,503 for LD here.  A fresh
+    closed side, with no trace memo, still tests 76 sets for DT."""
+    tests = _count_calls(monkeypatch, "_separates")
+    walks = _count_calls(monkeypatch, "walk")
+    G = random_gnp(16, 0.3, seed=1)
+    report = run_report(G)
+    assert not report.skipped
+    assert sum(not exempt for _, _, exempt in tests) == 0
+    assert sum(exempt for _, _, exempt in tests) == 1_104
+    open_side = neighborhood_hypergraph(G, closed=False)
+    floor = 1 + max(
+        k for (k, empty), (t, _) in open_side.trace_memo.items() if not empty and t < 16 - k
+    )
+    assert floor == 5 and [size for _, size, _ in walks] == [5, 6]
+    tests.clear()
+    closed = neighborhood_hypergraph(random_gnp(16, 0.3, seed=1), closed=True)
+    assert dt_exact(closed).value == 6 and len(tests) == 76
 
 
 def _count_calls(monkeypatch, name):
