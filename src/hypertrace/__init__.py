@@ -48,12 +48,10 @@ from .io import (
 )
 from .report import AnalysisReport, Budgets, run_report, validate_report
 from .trace import (
-    BoundProfile,
     ChainBounds,
     degeneracy_chain_bounds,
     max_degree_bound,
     sauer_shelah_bound,
-    trace_bound_profile,
     trace_count_lower_bound,
     trace_function_exact,
 )

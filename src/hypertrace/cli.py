@@ -3,7 +3,7 @@
 Subcommands: analyze, vc, dt, dominate, tree-check, gen, bench.
 Exit codes: 0 success, 1 usage error, 2 a mathematical cross-check failed
 (which indicts the implementation, not the mathematics), 3 a stage was
-skipped for budget reasons (a trace entry's refused T_k is only a caveat).
+skipped for budget reasons.
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ def _non_negative(text: str) -> int:
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--budget-subsets", type=_non_negative, default=SUBSET_BUDGET_DEFAULT,
                    help="subset budget of the exact searches (trace entries' T_k, VC, DT, "
-                   "domination); the bounds' T_j use their own fixed gate, and a refused "
-                   "trace-entry T_k is only a caveat, not a skip")
+                   "domination); the bounds' T_j use their own fixed gate")
     p.add_argument("--allow-multi", action="store_true",
                    help="keep duplicate hypergraph edges instead of collapsing")
     p.add_argument("--json", dest="as_json", action="store_true", help="emit JSON")

@@ -30,14 +30,18 @@ from .errors import BudgetExceededError
 from .graphs import Graph, find_twins, neighborhood_hypergraph, tree_stats
 from .hypergraph import Hypergraph
 from .io import hypergraph_text, serialize_graph
-from .trace import J_MAX, SUBSET_BUDGET_DEFAULT, trace_bound_profile
+from .trace import (
+    J_MAX,
+    SUBSET_BUDGET_DEFAULT,
+    degeneracy_chain_bounds,
+    max_degree_bound,
+    trace_count_lower_bound,
+    trace_function_exact,
+)
 from .transversal import BoundEntry, dt_exact, dt_lower_bounds
 from .vc import is_shattered, vc_exact
 
 ALL_ANALYSES = ("degeneracy", "trace", "vc", "dt", "domination", "tree")
-
-# The keys of a graph's ``trace_closed`` entries, a subset of a hypergraph's ``trace`` entries.
-GRAPH_TRACE_KEYS = ("k", "exact", "max_degree_bound", "reduced_times_k", "caveats")
 
 
 @dataclass(frozen=True)
@@ -55,12 +59,19 @@ class AnalysisReport:
 
     def stage(self, name: str, fn):
         """``fn()``, timed as stage ``name``; a budget overrun is recorded
-        as a skip and gives ``None``."""
+        as a skip, with the error's ``needed`` and ``budget``, and gives
+        ``None``."""
         start = time.perf_counter()
         try:
             return fn()
         except BudgetExceededError as exc:
-            self.skipped.append({"stage": name, "reason": "budget", "detail": str(exc)})
+            self.skipped.append({
+                "stage": name,
+                "reason": "budget",
+                "detail": str(exc),
+                "needed": exc.needed,
+                "budget": exc.budget,
+            })
             return None
         finally:
             self.timings[name] = time.perf_counter() - start
@@ -79,7 +90,7 @@ class AnalysisReport:
 
     def to_dict(self, include_timings: bool = True) -> dict:
         out = {
-            "schema": 1,
+            "schema": 2,
             "tool": {"name": "hypertrace", "version": __version__},
             "instance": self.instance,
             "results": self.results,
@@ -124,7 +135,7 @@ def validate_report(doc: dict) -> None:
     for key in ("schema", "tool", "instance", "results", "checks", "skipped"):
         if key not in doc:
             raise ValueError(f"report is missing '{key}'")
-    if doc["schema"] != 1:
+    if doc["schema"] != 2:
         raise ValueError("unknown schema version")
     if set(doc["tool"]) != {"name", "version"}:
         raise ValueError("tool block must carry name and version")
@@ -137,7 +148,7 @@ def validate_report(doc: dict) -> None:
             scalar_value = isinstance(node.get("value"), (int, float)) and not isinstance(
                 node.get("value"), bool
             )
-            if (scalar_value or "low" in node) and "exactness" not in node:
+            if scalar_value and "exactness" not in node:
                 raise ValueError(f"numeric result without exactness flag: {node}")
             if "name" in node and "j" in node and "exactness" not in node:
                 raise ValueError(f"bound entry without exactness flag: {node}")
@@ -221,42 +232,44 @@ def _analyze(instance, r: AnalysisReport, budgets: Budgets, analyses) -> None:
             r.check("classic-open-within-max-degree", triples["open"].classic <= max(instance.max_degree, 0))
 
     if "trace" in analyses:
-        profiles = []
+        budget = budgets.subset_budget
+        entries = []
         for k in sorted({s for s in (1, 2, H.n // 2, H.n) if s <= H.n}):
-            profile = r.stage(
+            found = r.stage(
                 f"trace-k{k}",
-                lambda k=k: trace_bound_profile(H, k, j_max=J_MAX, subset_budget=budgets.subset_budget),
+                lambda k=k: (
+                    trace_function_exact(H, k, subset_budget=budget),
+                    trace_function_exact(H, k, include_empty=True, subset_budget=budget),
+                ),
             )
-            entry = {
+            (exact, witness), (with_empty, _) = found or ((None, None), (None, None))
+            max_degree, chain = r.stage(
+                f"trace-k{k}-bounds",
+                lambda k=k: (max_degree_bound(H, k), degeneracy_chain_bounds(H, k, j_max=J_MAX)),
+            )
+            # min(|E|, k + 1) needs k >= 1 and distinct edges.
+            lower = trace_count_lower_bound(H, k) if k and H.is_simple else None
+            caveats = ["lower bound unsupported on multi-edge input"] if k and lower is None else []
+            entries.append({
                 "k": k,
-                "exact": exact_value(profile.exact) if profile.exact is not None else None,
-                "exact_with_empty": exact_value(profile.exact_with_empty)
-                if profile.exact_with_empty is not None
-                else None,
-                "witness": list(profile.witness) if profile.witness is not None else None,
-                "max_degree_bound": {"value": profile.max_degree, "exactness": "bound"},
+                "exact": exact_value(exact) if found else None,
+                "exact_with_empty": exact_value(with_empty) if found else None,
+                "witness": list(witness) if found else None,
+                "max_degree_bound": {"value": max_degree, "exactness": "bound"},
                 "chain_bounds": [
                     {"j": j, "value": v, "form": form, "exactness": "bound"}
-                    for j, v, form in profile.chain.entries
+                    for j, v, form in chain.entries
                 ],
-                "reduced_times_k": {"value": profile.chain.reduced_times_k, "exactness": "bound"},
-                "classic_times_k": {"value": profile.chain.classic_times_k, "exactness": "bound"},
-                "lower_bound": {"value": profile.lower, "exactness": "bound"}
-                if profile.lower is not None
-                else None,
-                "caveats": list(profile.caveats),
-            }
-            profiles.append({key: entry[key] for key in GRAPH_TRACE_KEYS} if graph else entry)
-            if profile.exact is not None:
-                ok = (
-                    profile.exact <= profile.max_degree
-                    and profile.exact <= profile.chain.reduced_times_k
-                    and all(profile.exact <= v for _, v, _ in profile.chain.entries)
-                )
-                r.check(f"trace-upper-bounds-k{k}", ok)
-                if not graph and profile.lower is not None and profile.exact_with_empty is not None:
-                    r.check(f"trace-lower-bound-k{k}", profile.lower <= profile.exact_with_empty)
-        res["trace_closed" if graph else "trace"] = profiles
+                "reduced_times_k": {"value": chain.reduced_times_k, "exactness": "bound"},
+                "lower_bound": {"value": lower, "exactness": "bound"} if lower is not None else None,
+                "caveats": caveats,
+            })
+            if found:
+                uppers = (max_degree, chain.reduced_times_k, *(v for _, v, _ in chain.entries))
+                r.check(f"trace-upper-bounds-k{k}", exact <= min(uppers))
+                if lower is not None:
+                    r.check(f"trace-lower-bound-k{k}", lower <= with_empty)
+        res["trace_closed" if graph else "trace"] = entries
 
     if "vc" in analyses:
         vc = r.stage("vc", lambda: vc_exact(H, node_budget=budgets.subset_budget))

@@ -1,9 +1,9 @@
 """Exact trace function and the upper/lower bounds that frame it.
 
 The trace function at size k is the largest number of distinct nonempty
-traces any k-vertex subset can carry.  Three estimates accompany the exact
-enumeration in a bound profile: the max-degree bound, a chain of bounds
-driven by the degeneracy variants, and the edge-count lower bound
+traces any k-vertex subset can carry.  Three estimates frame the exact
+enumeration in a report's trace entry: the max-degree bound, a chain of
+bounds driven by the reduced degeneracy, and the edge-count lower bound
 min(|E|, k+1).  The binomial-sum bound driven by VC dimension is
 ``sauer_shelah_bound``.
 """
@@ -294,26 +294,19 @@ class ChainBounds:
     k: int
     entries: tuple[tuple[int, int, str], ...]
     reduced_times_k: int
-    classic_times_k: int
 
 
 def degeneracy_chain_bounds(H: Hypergraph, k: int, j_max: int | None = None) -> ChainBounds:
     """Evaluate the peel-split trace bounds for every j up to ``j_max``."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    degeneracy = reduced_degeneracy(H)
-    delta = degeneracy.reduced
+    delta = reduced_degeneracy(H).reduced
     j_top = k if j_max is None else min(j_max, k)
     entries = []
     for j in range(j_top + 1):
         t_j, form = trace_value(H, j)
         entries.append((j, delta * (k - j) + t_j, form))
-    return ChainBounds(
-        k=k,
-        entries=tuple(entries),
-        reduced_times_k=delta * k,
-        classic_times_k=degeneracy.classic * k,
-    )
+    return ChainBounds(k=k, entries=tuple(entries), reduced_times_k=delta * k)
 
 
 def trace_count_lower_bound(H: Hypergraph, k: int) -> int:
@@ -329,53 +322,3 @@ def trace_count_lower_bound(H: Hypergraph, k: int) -> int:
         raise ValueError("k must be at least 1")
     return min(H.m, k + 1)
 
-
-@dataclass(frozen=True)
-class BoundProfile:
-    """Exact trace value for one k next to every bound that frames it."""
-
-    k: int
-    exact: int | None
-    exact_with_empty: int | None
-    witness: tuple[int, ...] | None
-    max_degree: int
-    chain: ChainBounds
-    lower: int | None
-    caveats: tuple[str, ...] = ()
-
-
-def trace_bound_profile(
-    H: Hypergraph,
-    k: int,
-    j_max: int | None = None,
-    subset_budget: int = SUBSET_BUDGET_DEFAULT,
-) -> BoundProfile:
-    """Assemble the full bound profile for one subset size.
-
-    Exact values are skipped (left None) when enumeration would exceed the
-    subset budget; the closed-form bounds are always present.
-    """
-    caveats: list[str] = []
-    exact = exact_all = None
-    witness = None
-    try:
-        exact, witness = trace_function_exact(H, k, subset_budget=subset_budget)
-        exact_all, _ = trace_function_exact(H, k, include_empty=True, subset_budget=subset_budget)
-    except BudgetExceededError:
-        caveats.append("exact trace value skipped (budget)")
-    lower = None
-    if k >= 1:
-        try:
-            lower = trace_count_lower_bound(H, k)
-        except MultiEdgeError:
-            caveats.append("lower bound unsupported on multi-edge input")
-    return BoundProfile(
-        k=k,
-        exact=exact,
-        exact_with_empty=exact_all,
-        witness=witness,
-        max_degree=max_degree_bound(H, k),
-        chain=degeneracy_chain_bounds(H, k, j_max=j_max),
-        lower=lower,
-        caveats=tuple(caveats),
-    )

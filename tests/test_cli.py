@@ -20,7 +20,7 @@ def test_analyze_fixture_json(capsys):
     code, out, _ = run_cli(capsys, "analyze", str(FIXTURE))
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
     assert doc["results"]["domination"]["LD"]["exact"]["value"] == 2
 
 

@@ -3,8 +3,8 @@
 Each digest is the sha256 of ``to_json(include_timings=False)``, so a
 refactor that changes any result, bound, witness, check or skip detail by
 one byte fails here.  The corpus covers graphs, trees with budget skips on
-DT-closed, LD and ID, and plain hypergraphs with a DT skip, and runs in
-about a second.
+a trace entry's T_k, DT-closed, LD and ID, and plain hypergraphs with T_k
+and DT skips, and runs in about a second.
 """
 
 import hashlib
@@ -24,18 +24,18 @@ CORPUS = {
 }
 
 DIGESTS = {
-    "p4": "419bd01a22b1902a393cda3ab3143e5b19201dc45938ab225cec97c95bfa0d51",
-    "gnp16": "c2b696b1d223c3c3138a320ac2011c51610dd6452e9bc6db30ae7b97f7f84934",
-    "gnp15": "5d20f4277e8f5e1ab34e4e2096675b752de8a245f6735b4a45c98a988ea78f88",
-    "tree10": "35cdf8686805524af43bf69f7a2c027650ddf2ce49b90d2f4a1c6bb5c489de29",
-    "tree14": "d5b8fbfd5a17b65321c00092d06ed8fcae725130b4c40335cb4c905fd99645f4",
-    "h14": "fe513294f6e14275f4e8bb93edc5721e299d2df05ce78991a35db9008611e835",
-    "h50": "643bf735c06b9131fc88095a112e2348d0b9e566e9edbe9287a0ab0e3c9ef374",
+    "p4": "b36d49cc00ea0f89cfa5a4c82c5cd6b38e020bd9872c01c0c9ed1b7c1648ae34",
+    "gnp16": "b55d7e2b3606b48eaa0c6af9dd0f2f82ff4e5ed8b0c9d218c3127eeeb14ac78e",
+    "gnp15": "d7185a8b705e8bbc5e40a2fdf493c73689d04defafb105cbe3f23882393d573f",
+    "tree10": "2bfc0cf6f4fbd8986776f6bce356eb5ee99546851d8baab1e1a7709e637b37f1",
+    "tree14": "87934cba2f52143994add59f8e855a79c590a2dbdd657ee055a40da120d3e69c",
+    "h14": "671d14de041c7d4c71bde46c6585006ae5a5318057c3b36d721ec5b48befe195",
+    "h50": "61518eec0dcd4848e8789d08b5e4408df21168b13bc01631692dff2ab9c6e52f",
 }
 
 SKIPPED = {
-    "tree14": ["dt-closed", "gamma-LD", "gamma-ID"],
-    "h50": ["dt"],
+    "tree14": ["trace-k7", "dt-closed", "gamma-LD", "gamma-ID"],
+    "h50": ["trace-k25", "dt"],
 }
 
 

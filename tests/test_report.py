@@ -51,8 +51,30 @@ def test_budget_skips_marked(p4):
     validate_report(doc)
     stages = {s["stage"] for s in doc["skipped"]}
     assert any(s.startswith("gamma-") or s.startswith("dt") or s == "vc" for s in stages)
+    # Every skip carries the refused search's budget; only T_k knows what it needed.
+    for s in doc["skipped"]:
+        assert s["budget"] == 1
+        assert (s["needed"] is not None) == s["stage"].startswith("trace-k")
     # closed-form bounds survive the skip
     assert doc["results"]["domination"]["LD"]["lower_bounds"]
+
+
+def test_refused_trace_entry_is_a_skip():
+    # C(24, 12) = 2,704,156 subsets exceed the default budget.
+    report = run_report(build_hypergraph(24, [[0], [1], [2]]))
+    assert report.exit_code == 3
+    assert [(s["stage"], s["needed"], s["budget"]) for s in report.skipped] == [
+        ("trace-k12", 2_704_156, 2_000_000)
+    ]
+    entry = next(e for e in report.results["trace"] if e["k"] == 12)
+    assert entry["exact"] is None and not entry["caveats"]
+
+
+def test_trace_entries_share_one_shape(tri, p4):
+    graph_entries = run_report(p4).results["trace_closed"]
+    hypergraph_entries = run_report(tri).results["trace"]
+    shapes = {frozenset(entry) for entry in graph_entries + hypergraph_entries}
+    assert len(shapes) == 1
 
 
 def test_empty_graph_report():
@@ -71,11 +93,13 @@ def test_stage_names(p4):
     assert sorted(run_report(p4).timings) == [
         "degeneracy-closed", "degeneracy-open", "domination-bounds",
         "dt-closed", "dt-closed-bounds", "dt-open", "dt-open-bounds",
-        "gamma-ID", "gamma-LD", "gamma-OLD", "trace-k1", "trace-k2", "trace-k4", "vc",
+        "gamma-ID", "gamma-LD", "gamma-OLD", "trace-k1", "trace-k1-bounds", "trace-k2",
+        "trace-k2-bounds", "trace-k4", "trace-k4-bounds", "vc",
     ]
     h14 = random_hypergraph(14, 42, max_edge_size=6, seed=3)
     assert sorted(run_report(h14).timings) == [
-        "degeneracy", "dt", "dt-bounds", "trace-k1", "trace-k14", "trace-k2", "trace-k7", "vc",
+        "degeneracy", "dt", "dt-bounds", "trace-k1", "trace-k1-bounds", "trace-k14",
+        "trace-k14-bounds", "trace-k2", "trace-k2-bounds", "trace-k7", "trace-k7-bounds", "vc",
     ]
 
 
@@ -94,6 +118,9 @@ def test_multi_edge_hypergraph_report():
     doc = report.to_dict()
     validate_report(doc)
     assert doc["results"]["dt"] == {"undefined": "duplicate edges"}
+    for entry in doc["results"]["trace"]:
+        assert entry["lower_bound"] is None
+        assert entry["caveats"] == ["lower bound unsupported on multi-edge input"]
 
 
 def test_report_on_hypergraphs_the_text_format_refuses():
@@ -202,7 +229,7 @@ def test_validate_rejects_missing_exactness():
     with pytest.raises(ValueError, match="exactness"):
         validate_report(
             {
-                "schema": 1,
+                "schema": 2,
                 "tool": {"name": "x", "version": "0"},
                 "instance": {"kind": "graph", "n": 1, "m": 0, "hash": "h"},
                 "results": {"vc": {"value": 3}},
@@ -216,7 +243,7 @@ def test_validate_rejects_unknown_schema():
     with pytest.raises(ValueError, match="schema"):
         validate_report(
             {
-                "schema": 2,
+                "schema": 1,
                 "tool": {"name": "x", "version": "0"},
                 "instance": {"kind": "graph", "n": 1, "m": 0, "hash": "h"},
                 "results": {},
@@ -228,7 +255,7 @@ def test_validate_rejects_unknown_schema():
 
 def _valid_doc():
     return {
-        "schema": 1,
+        "schema": 2,
         "tool": {"name": "x", "version": "0"},
         "instance": {"kind": "graph", "n": 1, "m": 0, "hash": "h"},
         "results": {},

@@ -9,7 +9,7 @@ search across its budget boundary.
 import importlib.util
 from pathlib import Path
 
-DIGEST = "31392168e3b54ceed4948629cac684c97559d5d2c7ea93cb7927c3d7abd89c79  486 reports"
+DIGEST = "d68691cdf5f40867284207def6b3a03f4b5f1f099c27eea903f186411739c79a  486 reports"
 
 
 def test_report_digest_is_pinned():

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from hypertrace import (
+    Budgets,
     Hypergraph,
     build_hypergraph,
     degeneracy_chain_bounds,
@@ -13,8 +14,8 @@ from hypertrace import (
     random_gnp,
     reduced_degeneracy,
     restriction,
+    run_report,
     sauer_shelah_bound,
-    trace_bound_profile,
     trace_count_lower_bound,
     trace_function_exact,
     vc_exact,
@@ -23,7 +24,7 @@ from hypertrace import trace
 from hypertrace.bench import instance_for_weight
 from hypertrace.errors import BudgetExceededError, MultiEdgeError
 from hypertrace.generate import random_hypergraph, random_tree
-from hypertrace.trace import J_MAX, reaches, walk
+from hypertrace.trace import reaches, walk
 from conftest import random_hypergraph_instances
 from oracles import brute_trace_function, counter_reaches, recursive_walk
 
@@ -162,12 +163,15 @@ def test_closed_forms_match_the_oracle():
 
 
 def test_report_trace_sizes_build_no_masks_at_scale():
-    # A report's k = 1 and k = n profiles ask for T_0, T_1 and T_n, whose
-    # n-bit masks would take about 2 GB at 1M edge weight.
+    # A report's k = 1 and k = n entries ask for T_0, T_1 and T_n, whose
+    # n-bit masks would take about 2 GB at 1M edge weight; the budget
+    # refuses k = 2 and k = n // 2.
     H = instance_for_weight(100_000)
+    report = run_report(H, analyses=("trace",))
+    entries = {entry["k"]: entry for entry in report.results["trace"]}
     for k in (1, H.n):
-        profile = trace_bound_profile(H, k, j_max=J_MAX)
-        assert profile.exact is not None and profile.exact_with_empty is not None
+        assert entries[k]["exact"] is not None and entries[k]["exact_with_empty"] is not None
+    assert [s["stage"] for s in report.skipped] == ["trace-k2", f"trace-k{H.n // 2}"]
     assert "edge_masks" not in H.__dict__
     assert "distinct_masks" not in H.__dict__
     assert trace_function_exact(H, H.n) == (len(H.incidence.edges), H.vertex_list)
@@ -410,7 +414,6 @@ def test_chain_bounds_triangle(tri):
     by_j = {j: v for j, v, _ in chain.entries}
     assert by_j[0] == 4  # reduced * k
     assert chain.reduced_times_k == 4
-    assert chain.classic_times_k == 4
     exact, _ = trace_function_exact(tri, 2)
     assert all(exact <= v for _, v, _ in chain.entries)
     # j = k keeps only the exact trace value
@@ -462,7 +465,7 @@ def test_randomized_bound_ladder():
             assert exact_all <= sauer_shelah_bound(vc, k)
             chain = degeneracy_chain_bounds(H, k)
             assert all(exact <= v for _, v, _ in chain.entries)
-            assert exact <= chain.reduced_times_k <= chain.classic_times_k
+            assert exact <= chain.reduced_times_k
             if k >= 1 and H.m:
                 lower = trace_count_lower_bound(H, k)
                 assert lower <= exact_all
@@ -492,17 +495,28 @@ def test_approximation_factor_claim():
                 assert triple.reduced * k <= triple.reduced * lower
 
 
+def _trace_entry(report, k):
+    return next(entry for entry in report.results["trace"] if entry["k"] == k)
+
+
 def test_profile_assembly(tri):
-    profile = trace_bound_profile(tri, 2)
-    assert profile.exact == 3
-    assert profile.exact_with_empty == 3
-    assert profile.lower == 3
-    assert profile.max_degree == 4
-    assert not profile.caveats
+    report = run_report(tri)
+    entry = _trace_entry(report, 2)
+    assert entry["exact"]["value"] == 3
+    assert entry["exact_with_empty"]["value"] == 3
+    assert entry["lower_bound"]["value"] == 3
+    assert entry["max_degree_bound"]["value"] == 4
+    assert not entry["caveats"]
+    assert not report.skipped
 
 
 def test_profile_budget_skip(tri):
-    profile = trace_bound_profile(tri, 2, subset_budget=1)
-    assert profile.exact is None
-    assert any("budget" in c for c in profile.caveats)
-    assert profile.max_degree == 4
+    report = run_report(tri, analyses=("trace",), budgets=Budgets(subset_budget=1))
+    entry = _trace_entry(report, 2)
+    assert entry["exact"] is None and entry["exact_with_empty"] is None and entry["witness"] is None
+    assert not entry["caveats"]
+    assert entry["max_degree_bound"]["value"] == 4
+    assert entry["lower_bound"]["value"] == 3
+    skips = {s["stage"]: (s["needed"], s["budget"]) for s in report.skipped}
+    assert skips == {"trace-k1": (3, 1), "trace-k2": (3, 1)}
+    assert report.exit_code == 3
