@@ -25,6 +25,12 @@ CHAIN_EXACT_WORK_LIMIT = 10_000_000
 # Largest j the bootstrapped DT and domination bounds, and a report's chain
 # bounds, go up to.
 J_MAX = 8
+# The trace table's gate (``_table_fits``): bitmaps of at most 2^18 bits
+# (32 KB), at most 256 distinct edges, and distinct edges times n times
+# 2^n at most 2^29, which takes the table about 30-50 ms.
+TABLE_MAX_N = 18
+TABLE_MAX_EDGES = 256
+TABLE_MAX_WORK = 1 << 29
 
 
 def trace_function_exact(
@@ -36,8 +42,132 @@ def trace_function_exact(
     """Maximum distinct-trace count over all k-subsets, with one witness.
 
     Counts nonempty traces unless ``include_empty`` is set.  Ties among
-    maximizing subsets break to the lexicographically first witness.  The
-    search counts the k-sets ``walk`` yields and stops at the first whose
+    maximizing subsets break to the lexicographically first witness.
+    Refuses instances whose C(n, k) exceeds ``subset_budget``, whether or
+    not the value is already in ``H.trace_memo``; otherwise each value is
+    computed once per hypergraph and then served from the memo.
+    Sizes 0, 1 and n take closed forms on the incidence and build no n-bit
+    mask (``_closed_form``).  Any other size, on a hypergraph within the
+    table's gate (``_table_fits``: n and the distinct edge count alone
+    decide it), fills the memo with every ``T_k`` in both modes from one
+    pass over the 2^n subsets (``trace_table``).  Above the gate, the
+    branch-and-bound search ``_search_exact`` finds the one value asked
+    for.
+    """
+    if not 0 <= k <= H.n:
+        raise ValueError(f"k must be in [0, {H.n}]")
+    total = comb(H.n, k)
+    if total > subset_budget:
+        raise BudgetExceededError(
+            f"C({H.n},{k}) = {total} subsets exceed the budget", needed=total, budget=subset_budget
+        )
+    memo = H.trace_memo
+    if 1 < k < H.n and (k, include_empty) not in memo and _table_fits(H):
+        memo.update(trace_table(H))
+    return _search_exact(H, k, include_empty)
+
+
+def _table_fits(H: Hypergraph) -> bool:
+    """Whether ``H`` is small enough for ``trace_table``, which costs about
+    ``3 n`` operations on ``2^n``-bit ints per distinct edge, plus one step
+    per pair of distinct edges, whatever k is asked."""
+    n = H.n
+    m = len(H.distinct_edges)
+    return n <= TABLE_MAX_N and m <= TABLE_MAX_EDGES and m * n << n <= TABLE_MAX_WORK
+
+
+def trace_table(H: Hypergraph) -> dict[tuple[int, bool], tuple[int, tuple[int, ...]]]:
+    """Every ``T_k`` of ``H`` in both modes, keyed as ``H.trace_memo`` is,
+    with the lexicographically first witness, from one pass of bitmap
+    algebra over the subset lattice.
+
+    Subset S of the positions has index ``Σ 2^(n-1-p)`` over its positions
+    p, and a bitmap over the indices is one int of ``2^n`` bits.  Between
+    two sets of one size, the first in lexicographic order holds the least
+    position they differ in, the higher index bit, so the search's tie rule
+    picks the highest index of the size class.
+    Two edges leave S one trace iff S misses their symmetric difference,
+    that is, S is a subset of its complement, and an edge leaves S the
+    empty trace iff S is a subset of the edge's complement.  So with the
+    distinct edges in order, ``D_i``, the subsets on which edge i repeats
+    an earlier edge's trace, is the down-closure of the complements of
+    ``e_i ^ e_j``, j < i, and ``M``, the subsets on which some edge leaves
+    the empty trace, the down-closure of the edges' complements.  A
+    bit-sliced counter sums the ``D_i``: S carries ``D - ΣD_i(S)`` traces,
+    D being the distinct edge count, and adding ``M`` counts the nonempty
+    ones.  For each size k the least count, and the highest index with it,
+    are read off the counter's planes from the top down.
+    """
+    n = H.n
+    size = 1 << n
+    whole = size - 1  # the index of the whole position set
+    every = (1 << size) - 1  # the bitmap of every subset
+    # Per position p, its index bit and the bitmap of the subsets that miss it.
+    missing = []
+    for p in range(n):
+        run = 1 << (n - 1 - p)
+        bitmap = (1 << run) - 1
+        width = run << 1
+        while width < size:
+            bitmap |= bitmap << width
+            width <<= 1
+        missing.append((run, bitmap))
+
+    def down(indices: list[int]) -> int:
+        # The subsets of the sets with these indices: a set that holds p
+        # passes each of its subsets without p down to it.
+        buf = bytearray((size + 7) >> 3)
+        for x in indices:
+            buf[x >> 3] |= 1 << (x & 7)
+        bitmap = int.from_bytes(buf, "little")
+        for run, missed in missing:
+            bitmap |= bitmap >> run & missed
+        return bitmap
+
+    planes: list[int] = []
+
+    def add(bitmap: int) -> None:
+        # Ripple-carry the 0/1 bitmap into the bit-sliced counter.
+        for b, plane in enumerate(planes):
+            planes[b], bitmap = plane ^ bitmap, plane & bitmap
+            if not bitmap:
+                return
+        if bitmap:
+            planes.append(bitmap)
+
+    edges = [int(f"{e:0{n}b}"[::-1], 2) for e in H.distinct_masks]
+    for i in range(1, len(edges)):
+        add(down([whole ^ edges[i] ^ f for f in edges[:i]]))
+    with_empty = list(planes)
+    add(down([whole ^ e for e in edges]))
+    # classes[k]: the indices with k bits set, built one index bit at a time.
+    classes = [1]
+    for b in range(n):
+        classes = [c | d << (1 << b) for c, d in zip([*classes, 0], [0, *classes])]
+    verts = H.vertex_list
+    table = {}
+    for include_empty, counter in ((True, with_empty), (False, planes)):
+        # clear[b]: the subsets whose count has bit b clear.
+        clear = [every ^ plane for plane in counter]
+        for k, cands in enumerate(classes):
+            least = 0
+            for b in reversed(range(len(clear))):
+                fewer = cands & clear[b]
+                if fewer:
+                    cands = fewer
+                else:
+                    least |= 1 << b
+            index = cands.bit_length() - 1
+            witness = tuple(v for p, v in enumerate(verts) if index >> (n - 1 - p) & 1)
+            table[(k, include_empty)] = (len(edges) - least, witness)
+    return table
+
+
+def _search_exact(H: Hypergraph, k: int, include_empty: bool) -> tuple[int, tuple[int, ...]]:
+    """``trace_function_exact`` without its budget and table: the memo, the
+    closed forms, then the branch-and-bound search.
+
+    The search counts the k-sets ``walk`` yields and stops at the first whose
     count reaches the ceiling (the distinct edge count, or ``2^k``; without
     the empty trace, the distinct nonempty edge count or ``2^k - 1``).  Its
     cut skips a prefix unless ``reaches`` grants it one trace more than the
@@ -54,24 +184,7 @@ def trace_function_exact(
     some edge misses ``W``: no k-set has more, and every earlier one has at
     most ``T_k``.  Only a strictly larger count replaces the witness, so no
     cut can change it.
-    Sizes 0, 1 and n take closed forms on ``H.incidence``, with the same
-    values and witnesses and no n-bit mask (``_closed_form``): ``T_0`` is
-    0 on the empty set (1 with the empty trace when there is an edge);
-    ``T_1`` is 1 at the first vertex of nonzero degree (2 with the empty
-    trace, at the first vertex in some distinct edges but not all); ``T_n``
-    is the number of distinct nonempty edges (of distinct edges with the
-    empty trace) on the whole vertex set.
-    Refuses instances whose C(n, k) exceeds ``subset_budget``, whether or
-    not the value is already in ``H.trace_memo``; otherwise each value is
-    enumerated once per hypergraph and then served from the memo.
     """
-    if not 0 <= k <= H.n:
-        raise ValueError(f"k must be in [0, {H.n}]")
-    total = comb(H.n, k)
-    if total > subset_budget:
-        raise BudgetExceededError(
-            f"C({H.n},{k}) = {total} subsets exceed the budget", needed=total, budget=subset_budget
-        )
     memo = H.trace_memo
     key = (k, include_empty)
     if key in memo:

@@ -86,7 +86,10 @@ def separating_set(
     labels needed, and without ``selected_exempt`` a memoised ``T_k`` equal
     to ``len(rows)`` at the size reached is the answer: its witness is the
     first k-set that carries that many traces, so DT(H) is the least k
-    with ``T_k = |E|``.  Neither changes the witness or its rank.
+    with ``T_k = |E|``.  Neither changes the witness or its rank.  On a
+    hypergraph within the trace table's gate, the first ``T_k`` asked for
+    (of size 2 up to n - 1) memoises every ``T_k``, so once a report's
+    bounds have asked for one, DT, ID and OLD there test no set.
 
     The budget bounds one number, the witness's rank in the plain
     size-ascending enumeration of every candidate: the search raises

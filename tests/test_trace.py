@@ -41,6 +41,12 @@ def random_simple(rng, max_n=8, max_m=14):
     return build_hypergraph(n, edges)
 
 
+# Both exact engines, each filling the memo it reads: the default path, which
+# sends an instance within the table's gate to ``trace_table``, and the
+# branch-and-bound search through its own entry point, whatever the gate says.
+ENGINES = {"default": trace_function_exact, "search": trace._search_exact}
+
+
 def test_exact_triangle(tri):
     assert trace_function_exact(tri, 2) == (3, (0, 1))
     assert trace_function_exact(tri, 1) == (1, (0,))
@@ -103,11 +109,13 @@ def test_exact_value_and_witness_match_oracle():
     for _ in range(12):
         G = random_gnp(rng.randint(1, 12), rng.choice([0.15, 0.3, 0.5, 0.8]), seed=rng.randrange(10**9))
         cases += [neighborhood_hypergraph(G, closed=True), neighborhood_hypergraph(G, closed=False)]
-    for H in cases:
-        for k in range(H.n + 1):
-            for include_empty in (False, True):
-                got = trace_function_exact(H, k, include_empty=include_empty)
-                assert got == brute_trace_function(H, k, include_empty), (H, k, include_empty)
+    for name, exact in ENGINES.items():
+        for H in cases:
+            H = Hypergraph(H.vertices, H.edges, H.allow_multi)
+            for k in range(H.n + 1):
+                for include_empty in (False, True):
+                    got = exact(H, k, include_empty)
+                    assert got == brute_trace_function(H, k, include_empty), (name, H, k, include_empty)
 
 
 def test_exact_does_not_depend_on_call_order():
@@ -128,16 +136,101 @@ def test_exact_does_not_depend_on_call_order():
     for H in cases:
         keys = [(k, include_empty) for k in range(H.n + 1) for include_empty in (False, True)]
         want = {key: brute_trace_function(H, *key) for key in keys}
-        for key in keys:
+        for name, exact in ENGINES.items():
+            for key in keys:
+                fresh = Hypergraph(H.vertices, H.edges, H.allow_multi)
+                assert exact(fresh, *key) == want[key], (name, H.edges, key, "fresh")
+            ascending = Hypergraph(H.vertices, H.edges, H.allow_multi)
+            for key in keys:
+                assert exact(ascending, *key) == want[key], (name, H.edges, key, "ascending")
+            shuffled = Hypergraph(H.vertices, H.edges, H.allow_multi)
+            rng.shuffle(keys)
+            for key in keys:
+                assert exact(shuffled, *key) == want[key], (name, H.edges, key, keys)
+
+
+def test_table_matches_the_search_and_the_oracle():
+    # Instances inside the table's gate: n 0-10, m 0-24, empty and duplicate
+    # edges, m = 0, and restrictions whose vertex ids are not a dense range.
+    # Every k in both modes: the table, the search on a fresh copy and the
+    # brute-force oracle give the same value and witness.
+    rng = random.Random(2218)
+    cases = [build_hypergraph(0, []), build_hypergraph(0, [set()]), build_hypergraph(6, [])]
+    for _ in range(150):
+        n = rng.randint(0, 10)
+        edges = [frozenset(rng.sample(range(n), rng.randint(0, n))) for _ in range(rng.randint(0, 24))]
+        edges += rng.sample(edges, min(len(edges), rng.randint(0, 3)))
+        H = build_hypergraph(n, edges, allow_multi=True)
+        cases.append(H)
+        if n > 1:
+            cases.append(restriction(H, rng.sample(range(n), rng.randint(1, n - 1))))
+    assert any(not H.is_dense for H in cases)
+    assert any(H.has_duplicate_edges and frozenset() in H.edges for H in cases)
+    for H in cases:
+        assert trace._table_fits(H)
+        table = trace.trace_table(H)
+        assert set(table) == {(k, e) for k in range(H.n + 1) for e in (False, True)}
+        for (k, include_empty), got in table.items():
             fresh = Hypergraph(H.vertices, H.edges, H.allow_multi)
-            assert trace_function_exact(fresh, *key) == want[key], (H.edges, key, "fresh")
-        ascending = Hypergraph(H.vertices, H.edges, H.allow_multi)
-        for key in keys:
-            assert trace_function_exact(ascending, *key) == want[key], (H.edges, key, "ascending")
-        shuffled = Hypergraph(H.vertices, H.edges, H.allow_multi)
-        rng.shuffle(keys)
-        for key in keys:
-            assert trace_function_exact(shuffled, *key) == want[key], (H.edges, key, keys)
+            want = brute_trace_function(H, k, include_empty)
+            assert got == trace._search_exact(fresh, k, include_empty) == want, (H.edges, k, include_empty)
+
+
+def test_one_call_inside_the_gate_fills_the_whole_table(monkeypatch):
+    calls = []
+    original = trace.reaches
+    monkeypatch.setattr(trace, "reaches", lambda *args: calls.append(args) or original(*args))
+    H = random_hypergraph(14, 42, max_edge_size=6, seed=3)
+    value, witness = trace_function_exact(H, 5)
+    assert set(H.trace_memo) == {(k, e) for k in range(H.n + 1) for e in (False, True)}
+    assert H.trace_memo[(5, False)] == (value, witness)
+    assert not calls
+    fresh = random_hypergraph(14, 42, max_edge_size=6, seed=3)
+    for k in range(H.n + 1):
+        for include_empty in (False, True):
+            assert H.trace_memo[(k, include_empty)] == trace._search_exact(fresh, k, include_empty)
+    assert calls
+
+
+def test_instances_just_outside_the_gate_run_the_search(monkeypatch):
+    # One position too many, and at n = 18 one distinct edge too many for
+    # the work bound (113 * 18 * 2^18 <= 2^29 < 114 * 18 * 2^18).
+    def hypergraph(n, m):
+        rng = random.Random(n * 1000 + m)
+        edges = set()
+        while len(edges) < m:
+            edges.add(frozenset(rng.sample(range(n), rng.randint(1, 4))))
+        return build_hypergraph(n, sorted(edges, key=sorted))
+
+    assert trace._table_fits(hypergraph(18, 113))
+    assert not trace._table_fits(hypergraph(18, 114))
+    assert not trace._table_fits(hypergraph(12, trace.TABLE_MAX_EDGES + 1))
+    calls = []
+    original = trace.reaches
+    monkeypatch.setattr(trace, "reaches", lambda *args: calls.append(args) or original(*args))
+    for n, m in ((trace.TABLE_MAX_N + 1, 12), (18, 114)):
+        H = hypergraph(n, m)
+        calls.clear()
+        got = trace_function_exact(H, 3)
+        assert calls and set(H.trace_memo) == {(3, False)}, (n, m)
+        fresh = Hypergraph(H.vertices, H.edges)
+        assert got == trace._search_exact(fresh, 3, False)
+
+
+def test_the_table_does_not_bypass_the_budget():
+    # The test_memo_does_not_bypass_the_budget shape on an instance the
+    # table serves: T_2 fills the memo with T_6 too, yet a budget below
+    # C(12, 6) still refuses it, and a refused call fills nothing.
+    H = build_hypergraph(12, [{0, 1}, {2, 3, 4}, {5, 11}])
+    refused = Hypergraph(H.vertices, H.edges)
+    with pytest.raises(BudgetExceededError):
+        trace_function_exact(refused, 6, subset_budget=923)
+    assert not refused.trace_memo
+    trace_function_exact(H, 2)
+    assert (6, False) in H.trace_memo and (6, True) in H.trace_memo
+    for include_empty in (False, True):
+        with pytest.raises(BudgetExceededError):
+            trace_function_exact(H, 6, include_empty, subset_budget=923)  # C(12, 6) = 924
 
 
 def test_closed_forms_match_the_oracle():
@@ -187,9 +280,10 @@ def test_report_trace_sizes_build_no_masks_at_scale():
     ids=["hypergraph", "gnp-closed", "tree-closed"],
 )
 def test_trace_search_work_guard(monkeypatch, build, k_empty, parent_calls, cut):
-    # A report's T_1..T_8 and one with-empty T_k, asked in that order.  The
-    # parent counts are those of the search without the node close, the
-    # with-empty derivation and the degree cut.
+    # A report's T_1..T_8 and one with-empty T_k, asked in that order, on
+    # each engine.  The parent counts are those of the search without the
+    # node close, the with-empty derivation and the degree cut.  The default
+    # path sends these instances to the table, which asks ``reaches`` nothing.
     calls = []
     original = trace.reaches
 
@@ -198,11 +292,14 @@ def test_trace_search_work_guard(monkeypatch, build, k_empty, parent_calls, cut)
         return original(*args)
 
     monkeypatch.setattr(trace, "reaches", counted)
-    H = build()
-    for k in range(1, 9):
-        trace_function_exact(H, k)
-    trace_function_exact(H, k_empty, include_empty=True)
-    assert len(calls) <= parent_calls * (1 - cut), len(calls)
+    for name, exact in ENGINES.items():
+        calls.clear()
+        H = build()
+        for k in range(1, 9):
+            exact(H, k, False)
+        exact(H, k_empty, True)
+        assert len(calls) <= parent_calls * (1 - cut), (name, len(calls))
+        assert calls or name == "default"
 
 
 def test_exact_stops_at_the_ceiling():
