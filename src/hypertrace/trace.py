@@ -10,7 +10,7 @@ min(|E|, k+1).  The binomial-sum bound driven by VC dimension is
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from math import comb
 from operator import eq
@@ -27,10 +27,17 @@ CHAIN_EXACT_WORK_LIMIT = 10_000_000
 J_MAX = 8
 # The trace table's gate (``_table_fits``): bitmaps of at most 2^18 bits
 # (32 KB), at most 256 distinct edges, and distinct edges times n times
-# 2^n at most 2^29, which takes the table about 30-50 ms.
+# 2^n at most 2^29, which takes the table about 30-50 ms.  The table also
+# takes one Python step per pair of distinct edges, so pairs stay within
+# 32 per subset.  That sends dense families on at most 9 vertices to the
+# searches, which won there (n = 8, m = 200: 0.6 ms for the searches a
+# report asks for against 4.5 ms; n = 9, m = 256: 2.3 against 7.4 ms),
+# and binds nowhere from n = 10 up, where the table won (n = 10, m = 256:
+# 7.8 against 8.7 ms).
 TABLE_MAX_N = 18
 TABLE_MAX_EDGES = 256
 TABLE_MAX_WORK = 1 << 29
+TABLE_MAX_PAIRS_PER_SUBSET = 32
 
 
 def trace_function_exact(
@@ -70,10 +77,17 @@ def trace_function_exact(
 def _table_fits(H: Hypergraph) -> bool:
     """Whether ``H`` is small enough for ``trace_table``, which costs about
     ``3 n`` operations on ``2^n``-bit ints per distinct edge, plus one step
-    per pair of distinct edges, whatever k is asked."""
+    per pair of distinct edges, whatever k is asked.  The separating
+    search's subset lattice (``transversal._failing_sets``) costs the
+    same, with one pair per two rows."""
     n = H.n
     m = len(H.distinct_edges)
-    return n <= TABLE_MAX_N and m <= TABLE_MAX_EDGES and m * n << n <= TABLE_MAX_WORK
+    return (
+        n <= TABLE_MAX_N
+        and m <= TABLE_MAX_EDGES
+        and m * n << n <= TABLE_MAX_WORK
+        and comb(m, 2) <= TABLE_MAX_PAIRS_PER_SUBSET << n
+    )
 
 
 def trace_table(H: Hypergraph) -> dict[tuple[int, bool], tuple[int, tuple[int, ...]]]:
@@ -97,33 +111,15 @@ def trace_table(H: Hypergraph) -> dict[tuple[int, bool], tuple[int, tuple[int, .
     D being the distinct edge count, and adding ``M`` counts the nonempty
     ones.  For each size k the least count, and the highest index with it,
     are read off the counter's planes from the top down.
+    The index map, the per-position bitmaps, the down-closure and the size
+    classes are the module's lattice helpers (``lattice_index``,
+    ``missing_bitmaps``, ``down``, ``size_classes``), which the separating
+    search's lattice (``transversal._failing_sets``) shares.
     """
     n = H.n
-    size = 1 << n
-    whole = size - 1  # the index of the whole position set
-    every = (1 << size) - 1  # the bitmap of every subset
-    # Per position p, its index bit and the bitmap of the subsets that miss it.
-    missing = []
-    for p in range(n):
-        run = 1 << (n - 1 - p)
-        bitmap = (1 << run) - 1
-        width = run << 1
-        while width < size:
-            bitmap |= bitmap << width
-            width <<= 1
-        missing.append((run, bitmap))
-
-    def down(indices: list[int]) -> int:
-        # The subsets of the sets with these indices: a set that holds p
-        # passes each of its subsets without p down to it.
-        buf = bytearray((size + 7) >> 3)
-        for x in indices:
-            buf[x >> 3] |= 1 << (x & 7)
-        bitmap = int.from_bytes(buf, "little")
-        for run, missed in missing:
-            bitmap |= bitmap >> run & missed
-        return bitmap
-
+    whole = (1 << n) - 1  # the index of the whole position set
+    every = (1 << (1 << n)) - 1  # the bitmap of every subset
+    missing = missing_bitmaps(n)
     planes: list[int] = []
 
     def add(bitmap: int) -> None:
@@ -135,15 +131,12 @@ def trace_table(H: Hypergraph) -> dict[tuple[int, bool], tuple[int, tuple[int, .
         if bitmap:
             planes.append(bitmap)
 
-    edges = [int(f"{e:0{n}b}"[::-1], 2) for e in H.distinct_masks]
+    edges = [lattice_index(e, n) for e in H.distinct_masks]
     for i in range(1, len(edges)):
-        add(down([whole ^ edges[i] ^ f for f in edges[:i]]))
+        add(down([whole ^ edges[i] ^ f for f in edges[:i]], missing))
     with_empty = list(planes)
-    add(down([whole ^ e for e in edges]))
-    # classes[k]: the indices with k bits set, built one index bit at a time.
-    classes = [1]
-    for b in range(n):
-        classes = [c | d << (1 << b) for c, d in zip([*classes, 0], [0, *classes])]
+    add(down([whole ^ e for e in edges], missing))
+    classes = size_classes(n)
     verts = H.vertex_list
     table = {}
     for include_empty, counter in ((True, with_empty), (False, planes)):
@@ -157,10 +150,54 @@ def trace_table(H: Hypergraph) -> dict[tuple[int, bool], tuple[int, tuple[int, .
                     cands = fewer
                 else:
                     least |= 1 << b
-            index = cands.bit_length() - 1
-            witness = tuple(v for p, v in enumerate(verts) if index >> (n - 1 - p) & 1)
+            witness = tuple(verts[p] for p in bits(lattice_index(cands.bit_length() - 1, n)))
             table[(k, include_empty)] = (len(edges) - least, witness)
     return table
+
+
+def lattice_index(mask: int, n: int) -> int:
+    """The index of the subset of positions ``0..n-1`` with this mask, and
+    back: position p is index bit ``n-1-p``, so the map reverses the low n
+    bits and is its own inverse."""
+    return int(f"{mask:0{n}b}"[::-1], 2)
+
+
+def missing_bitmaps(n: int) -> list[tuple[int, int]]:
+    """Per position p of ``0..n-1``, its index bit and the bitmap of the
+    subsets that miss it."""
+    size = 1 << n
+    missing = []
+    for p in range(n):
+        run = 1 << (n - 1 - p)
+        bitmap = (1 << run) - 1
+        width = run << 1
+        while width < size:
+            bitmap |= bitmap << width
+            width <<= 1
+        missing.append((run, bitmap))
+    return missing
+
+
+def down(indices: Iterable[int], missing: list[tuple[int, int]]) -> int:
+    """The bitmap of every subset of the sets with these indices, with
+    ``missing`` from ``missing_bitmaps``: a set that holds p passes each
+    of its subsets without p down to it, one shift-and-or per position."""
+    buf = bytearray(((1 << len(missing)) + 7) >> 3)
+    for x in indices:
+        buf[x >> 3] |= 1 << (x & 7)
+    bitmap = int.from_bytes(buf, "little")
+    for run, missed in missing:
+        bitmap |= bitmap >> run & missed
+    return bitmap
+
+
+def size_classes(n: int) -> list[int]:
+    """Per size k of ``0..n``, the bitmap of the indices with k bits set,
+    built one index bit at a time."""
+    classes = [1]
+    for b in range(n):
+        classes = [c | d << (1 << b) for c, d in zip([*classes, 0], [0, *classes])]
+    return classes
 
 
 def _search_exact(H: Hypergraph, k: int, include_empty: bool) -> tuple[int, tuple[int, ...]]:

@@ -12,12 +12,24 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import ceil, comb
 
 from .degeneracy import reduced_degeneracy
 from .errors import BudgetExceededError, MultiEdgeError
 from .hypergraph import Hypergraph, bits
-from .trace import J_MAX, SUBSET_BUDGET_DEFAULT, reaches, trace_value, walk
+from .trace import (
+    J_MAX,
+    SUBSET_BUDGET_DEFAULT,
+    _table_fits,
+    down,
+    lattice_index,
+    missing_bitmaps,
+    reaches,
+    size_classes,
+    trace_value,
+    walk,
+)
 
 
 @dataclass(frozen=True)
@@ -72,10 +84,13 @@ def separating_set(
     masks) and LD, ID and OLD (rows are neighborhood masks indexed by
     vertex).  With ``selected_exempt`` the row of a selected position
     needs no label, which is how LD differs.  Sizes ascend from the floor
-    where s positions can give 2^s - 1 labels; within a size, ``_search``
-    tests the sets ``walk`` yields in lexicographic order, and its cut
-    skips a prefix when ``reaches`` finds that no completion gives the
-    rows ``len(rows)`` distinct nonempty labels.
+    where s positions can give 2^s - 1 labels.  On a hypergraph within the
+    trace table's gate (``trace._table_fits``), one down-closure on the
+    table's subset lattice (``_failing_sets``) answers every size and no
+    set is tested.  Above it, within a size, ``_search`` tests the sets
+    ``walk`` yields in lexicographic order, and its cut skips a prefix
+    when ``reaches`` finds that no completion gives the rows
+    ``len(rows)`` distinct nonempty labels.
     With ``selected_exempt`` only the rows that can no longer be selected
     (positions up to the last pick, outside the picks) are asked about.
     The cut is sound, so the witness is still the first minimum set.
@@ -89,7 +104,7 @@ def separating_set(
     with ``T_k = |E|``.  Neither changes the witness or its rank.  On a
     hypergraph within the trace table's gate, the first ``T_k`` asked for
     (of size 2 up to n - 1) memoises every ``T_k``, so once a report's
-    bounds have asked for one, DT, ID and OLD there test no set.
+    bounds have asked for one, DT, ID and OLD there are memo hits.
 
     The budget bounds one number, the witness's rank in the plain
     size-ascending enumeration of every candidate: the search raises
@@ -109,7 +124,9 @@ def separating_set(
     entries = tuple(H.trace_memo.items())
     traces = {k: (t, H.mask(w)) for (k, empty), (t, w) in entries if not empty}
     try:
-        witness, rank = _search(H.edge_masks, H.n, budget, search, selected_exempt, traces)
+        witness, rank = _search(
+            H.edge_masks, H.n, budget, search, selected_exempt, traces, _table_fits(H)
+        )
     except BudgetExceededError:
         memo[selected_exempt] = (None, budget)
         raise
@@ -124,10 +141,12 @@ def _search(
     search: str,
     selected_exempt: bool,
     traces: dict[int, tuple[int, int]],
+    lattice: bool,
 ) -> tuple[tuple[int, ...], int]:
     """The separating set and its rank in the size-ascending enumeration:
     ``done``, the sets of the sizes before its own, plus its ``_rank``
-    within its size, plus 1.
+    within its size, plus 1.  ``lattice`` picks the engine for the sizes
+    the memo does not answer: the subset lattice or the walker.
 
     ``traces`` maps k to a memoised nonempty ``T_k`` and its witness mask.
     ``T_k`` never falls as k grows while the labels needed never rise, so
@@ -147,6 +166,13 @@ def _search(
     A short reach closes the walk's node, which is sound with LD's exempt
     rows too, since a later sibling has a smaller reach and more needy
     rows.
+
+    The lattice replaces the walk with ``_failing_sets``, built at the
+    first size the walk would start: a size's first set outside it is the
+    class's highest index, which is the same witness at the same rank,
+    under the same budget test.  The floor, the memo's start and hit and
+    the budget test run first, so a budget the skipped sizes already use
+    up raises before any bitmap is built.
     """
 
     def keep(prefix: int, reach: int, p: int, left: int) -> bool | None:
@@ -166,6 +192,7 @@ def _search(
     floor = next(s for s in range(n + 1) if (1 << s) - 1 >= needed(s))
     start = max([floor, *(k + 1 for k, (t, _) in traces.items() if t < needed(k))])
     done = sum(comb(n, s) for s in range(floor, start))
+    bad = None  # the lattice's failing sets, built at the first size it is asked about
     for size in range(start, n + 1):
         room = budget - done
         total = comb(n, size)
@@ -175,6 +202,16 @@ def _search(
             rank = _rank(n, wmask)
             if rank < room:
                 return tuple(bits(wmask)), done + rank + 1
+        elif room > 0 and lattice:
+            if bad is None:
+                bad, classes = _failing_sets(rows, n, selected_exempt), size_classes(n)
+            good = classes[size] & ~bad
+            if good:
+                # The highest index of the size class is its first set.
+                smask = lattice_index(good.bit_length() - 1, n)
+                rank = _rank(n, smask)
+                if rank < room:
+                    return tuple(bits(smask)), done + rank + 1
         elif room > 0:
             for smask in walk(n, size, keep):
                 if room < total and _rank(n, smask) >= room:
@@ -185,6 +222,27 @@ def _search(
             raise BudgetExceededError(f"{search} search budget exceeded", budget=budget)
         done += total
     raise AssertionError("the full position set must separate every row")
+
+
+def _failing_sets(rows: Sequence[int], n: int, selected_exempt: bool) -> int:
+    """The bitmap, over ``trace.lattice_index`` indices, of the sets of
+    positions ``0..n-1`` that do not separate ``rows``.
+
+    With ``r_x`` the index of row x and ``pt(x)`` the index bit of
+    position x (0 for x >= n, or without ``selected_exempt``), S fails iff
+    some row that S does not exempt gets the empty label, S inside
+    ``whole ^ (r_x | pt(x))``, or two such rows get one label, S inside
+    ``whole ^ (r_x ^ r_y | pt(x) | pt(y))``.  So the failing sets are one
+    down-closure of those indices.
+    """
+    whole = (1 << n) - 1
+    labels = [
+        (lattice_index(row, n), 1 << (n - 1 - x) if selected_exempt and x < n else 0)
+        for x, row in enumerate(rows)
+    ]
+    seeds = [whole ^ (r | pt) for r, pt in labels]
+    seeds += [whole ^ (r ^ q | pt | qt) for (r, pt), (q, qt) in combinations(labels, 2)]
+    return down(seeds, missing_bitmaps(n))
 
 
 def _rank(n: int, smask: int) -> int:

@@ -205,10 +205,14 @@ def test_instances_just_outside_the_gate_run_the_search(monkeypatch):
     assert trace._table_fits(hypergraph(18, 113))
     assert not trace._table_fits(hypergraph(18, 114))
     assert not trace._table_fits(hypergraph(12, trace.TABLE_MAX_EDGES + 1))
+    # At n = 9, one distinct edge too many for the pair bound
+    # (C(181, 2) <= 32 * 2^9 < C(182, 2)).
+    assert trace._table_fits(hypergraph(9, 181))
+    assert not trace._table_fits(hypergraph(9, 182))
     calls = []
     original = trace.reaches
     monkeypatch.setattr(trace, "reaches", lambda *args: calls.append(args) or original(*args))
-    for n, m in ((trace.TABLE_MAX_N + 1, 12), (18, 114)):
+    for n, m in ((trace.TABLE_MAX_N + 1, 12), (18, 114), (9, 182)):
         H = hypergraph(n, m)
         calls.clear()
         got = trace_function_exact(H, 3)

@@ -22,9 +22,24 @@ from hypertrace import (
 from hypertrace.errors import BudgetExceededError, MultiEdgeError
 from hypertrace.generate import random_gnp, random_tree
 from hypertrace.hypergraph import bits
+from hypertrace import trace
 from hypertrace.trace import trace_function_exact
 from hypertrace.transversal import _rank, separating_set
 from oracles import brute_dt, plain_separating_set
+
+# The separating search's two engines, each given as the gate it puts in
+# ``transversal``: the default path, where ``_table_fits`` sends a small
+# hypergraph to the subset lattice, and the walker, which ``_search`` then
+# runs at every size.  Tests that count the walker's work loop over both,
+# since a gated instance would otherwise pass them without walking.
+ENGINES = {"default": trace._table_fits, "walker": lambda H: False}
+
+
+def _engines(monkeypatch):
+    """Yield each engine's name with its gate in place."""
+    for name, gate in ENGINES.items():
+        monkeypatch.setattr(transversal, "_table_fits", gate)
+        yield name
 
 
 def random_simple(rng, max_n=8, max_m=12, min_m=0):
@@ -186,50 +201,133 @@ def _separating_cases(rng):
         yield build_hypergraph(n, sorted(edges, key=sorted)), False
 
 
-def test_separating_set_matches_plain_enumeration():
+def test_separating_set_matches_plain_enumeration(monkeypatch):
     """Witness and raise/no-raise equal the unpruned search at every budget,
     on a fresh hypergraph and through one hypergraph's memo alike."""
-    rng = random.Random(5)
-    checked = 0
-    for H, exempt in _separating_cases(rng):
-        if plain_separating_set(H.edge_masks, H.n, 10**7, exempt) is None:
-            continue  # even the full vertex set does not separate
-        shared = Hypergraph(H.vertices, H.edges, H.allow_multi)
-        for budget in (rng.randint(1, 300), 10**7, rng.randint(1, 300), rng.randint(1, 300)):
-            want = _plain_outcome(H.edge_masks, H.n, budget, exempt)
-            fresh = Hypergraph(H.vertices, H.edges, H.allow_multi)
-            assert _outcome(fresh, budget, exempt) == want, (H.edges, exempt, budget)
-            assert _outcome(shared, budget, exempt) == want, (H.edges, exempt, budget)
-            checked += 1
-    assert checked > 600
+    for name in _engines(monkeypatch):
+        rng = random.Random(5)
+        checked = 0
+        for H, exempt in _separating_cases(rng):
+            if plain_separating_set(H.edge_masks, H.n, 10**7, exempt) is None:
+                continue  # even the full vertex set does not separate
+            shared = Hypergraph(H.vertices, H.edges, H.allow_multi)
+            for budget in (rng.randint(1, 300), 10**7, rng.randint(1, 300), rng.randint(1, 300)):
+                want = _plain_outcome(H.edge_masks, H.n, budget, exempt)
+                fresh = Hypergraph(H.vertices, H.edges, H.allow_multi)
+                assert _outcome(fresh, budget, exempt) == want, (name, H.edges, exempt, budget)
+                assert _outcome(shared, budget, exempt) == want, (name, H.edges, exempt, budget)
+                checked += 1
+        assert checked > 600, name
 
 
-def test_separating_set_budget_boundary():
+def test_separating_set_budget_boundary(monkeypatch):
     """At budget rank - 1 the search raises and at budget rank it returns
     the witness, with and without exempt rows: the witness's rank, the sets
     of the sizes walked plus its lexicographic index within its size plus
     1, must fall exactly where the plain enumeration's count does."""
-    rng = random.Random(13)
-    checked = 0
-    for H, _ in _separating_cases(rng):
+    for name in _engines(monkeypatch):
+        rng = random.Random(13)
+        checked = 0
+        for H, _ in _separating_cases(rng):
+            for exempt in (False, True):
+                want = plain_separating_set(H.edge_masks, H.n, 10**7, exempt)
+                if want is None:
+                    continue
+                start = next(
+                    s for s in range(H.n + 1)
+                    if (1 << s) - 1 >= len(H.edge_masks) - (s if exempt else 0)
+                )
+                sizes = range(start, len(want))
+                rank = sum(comb(H.n, s) for s in sizes) + 1 + next(
+                    i for i, c in enumerate(combinations(range(H.n), len(want))) if c == want
+                )
+                fresh = Hypergraph(H.vertices, H.edges, H.allow_multi)
+                assert _outcome(fresh, rank - 1, exempt) == "raise", (name, H.edges, exempt, rank)
+                fresh = Hypergraph(H.vertices, H.edges, H.allow_multi)
+                assert _outcome(fresh, rank, exempt) == want, (name, H.edges, exempt, rank)
+                checked += 1
+        assert checked > 400, name
+
+
+def _lattice_cases(rng):
+    """(rows, n, selected_exempt) for the subset lattice: LD rows of random
+    graphs on 0-12 vertices, edgeless ones and ones with isolated vertices
+    or open twins among them, and random rows whose count differs from n
+    (at most 2^n - 1 of them), in both modes, first four exempt rows on
+    ten positions."""
+    yield (831, 305, 2, 742), 10, True
+    for _ in range(200):
+        n = rng.randint(0, 12)
+        G = random_gnp(n, rng.choice([0.0, 0.15 * rng.random(), rng.random()]), seed=rng.randrange(10**6))
+        yield neighborhood_hypergraph(G, closed=False).edge_masks, n, True
+    for _ in range(150):
+        n = rng.randint(1, 10)
+        m = min(rng.choice([rng.randint(0, n - 1), rng.randint(n + 1, 2 * n + 4)]), (1 << n) - 1)
+        rows = tuple(rng.randrange(1, 1 << n) for _ in range(m))
         for exempt in (False, True):
-            want = plain_separating_set(H.edge_masks, H.n, 10**7, exempt)
-            if want is None:
-                continue
-            start = next(
-                s for s in range(H.n + 1)
-                if (1 << s) - 1 >= len(H.edge_masks) - (s if exempt else 0)
-            )
-            sizes = range(start, len(want))
-            rank = sum(comb(H.n, s) for s in sizes) + 1 + next(
-                i for i, c in enumerate(combinations(range(H.n), len(want))) if c == want
-            )
-            fresh = Hypergraph(H.vertices, H.edges, H.allow_multi)
-            assert _outcome(fresh, rank - 1, exempt) == "raise", (H.edges, exempt, rank)
-            fresh = Hypergraph(H.vertices, H.edges, H.allow_multi)
-            assert _outcome(fresh, rank, exempt) == want, (H.edges, exempt, rank)
-            checked += 1
-    assert checked > 400
+            yield rows, n, exempt
+
+
+def _engine_outcome(rows, n, budget, exempt, lattice):
+    try:
+        return transversal._search(rows, n, budget, "lattice", exempt, {}, lattice)
+    except BudgetExceededError as exc:
+        assert str(exc) == "lattice search budget exceeded" and exc.budget == budget
+        return "raise"
+
+
+def test_lattice_matches_the_walker_and_the_oracle():
+    """The subset lattice and the walker return the plain enumeration's
+    witness at its rank at budget rank and raise at rank - 1, on LD rows of
+    graphs (edgeless, with isolated vertices, with open twins) and on rows
+    more or fewer than the positions, with and without exempt rows."""
+    rng = random.Random(43)
+    checked = 0
+    shapes = set()
+    for rows, n, exempt in _lattice_cases(rng):
+        want = plain_separating_set(rows, n, 10**7, exempt)
+        if want is None:
+            continue
+        if len(rows) != n:
+            shapes.add("more rows" if len(rows) > n else "fewer rows")
+        elif exempt:
+            shapes |= {"edgeless" if n and not any(rows) else "", "isolated" if 0 in rows else ""}
+            shapes.add("twins" if len(set(rows)) < n else "")
+        rank = _plain_rank(n, rows, want, exempt)
+        for lattice in (True, False):
+            assert _engine_outcome(rows, n, rank - 1, exempt, lattice) == "raise", (rows, n, exempt, lattice)
+            assert _engine_outcome(rows, n, rank, exempt, lattice) == (want, rank), (rows, n, exempt, lattice)
+        checked += 1
+    assert checked > 400 and {"edgeless", "isolated", "twins", "more rows", "fewer rows"} <= shapes
+
+
+def test_an_instance_just_outside_the_gate_walks(monkeypatch):
+    """LD on 19 vertices, one above the trace table's gate, runs the walker;
+    the subset lattice, asked anyway, gives the same witness and rank."""
+    lattices = _count_calls(monkeypatch, "_failing_sets")
+    walks = _count_calls(monkeypatch, "walk")
+    G = random_gnp(19, 0.3, seed=1)
+    H = neighborhood_hypergraph(G, closed=False)
+    assert not trace._table_fits(H)
+    assert gamma_exact(G, "LD").witness == (0, 2, 7, 9, 13, 14)
+    assert walks and not lattices
+    witness, rank = H.separating_memo[True]
+    assert transversal._search(H.edge_masks, H.n, rank, "domination", True, {}, True) == (witness, rank)
+
+
+def test_a_budget_the_memo_floor_exhausts_builds_no_bitmap(monkeypatch):
+    """On random_tree(14, 2) at budget 1,000 the open side's memoised T_k
+    start LD at size 6, past C(14, 4) + C(14, 5) = 3,003 sets, so LD raises
+    before the subset lattice builds a bitmap.  A budget past that floor
+    builds it once."""
+    lattices = _count_calls(monkeypatch, "_failing_sets")
+    G = random_tree(14, seed=2)
+    report = run_report(G, budgets=Budgets(subset_budget=1000))
+    skipped = {s["stage"]: s["detail"] for s in report.skipped}
+    assert skipped["gamma-LD"] == "domination search budget exceeded"
+    assert not lattices
+    assert gamma_exact(G, "LD", subset_budget=10**7).exact == 7
+    assert len(lattices) == 1
 
 
 def test_rank_is_the_lexicographic_index():
@@ -259,26 +357,27 @@ def test_binding_budget_asks_reaches_nothing_past_it(monkeypatch):
         return original(needy, prefix, reach, left, include_empty, target)
 
     monkeypatch.setattr(transversal, "reaches", recording)
-    rng = random.Random(29)
-    checked = calls = 0
-    for H, _ in _separating_cases(rng):
-        for exempt in (False, True):
-            want = plain_separating_set(H.edge_masks, H.n, 10**7, exempt)
-            if want is None:
-                continue
-            rank = _plain_rank(H.n, H.edge_masks, want, exempt)
-            for budget in {rank - 1, rng.randint(1, rank), rng.randint(1, rank)} - {0}:
-                asked.clear()
-                _outcome(Hypergraph(H.vertices, H.edges, H.allow_multi), budget, exempt)
-                for prefix, reach, left in asked:
-                    after = bits(reach >> prefix.bit_length() << prefix.bit_length())
-                    first = (*bits(prefix), *islice(after, left))
-                    assert _plain_rank(H.n, H.edge_masks, first, exempt) <= budget, (
-                        H.edges, exempt, budget, prefix, left
-                    )
-                calls += len(asked)
-                checked += 1
-    assert checked > 500 and calls > 1_000, (checked, calls)
+    for name in _engines(monkeypatch):
+        rng = random.Random(29)
+        checked = calls = 0
+        for H, _ in _separating_cases(rng):
+            for exempt in (False, True):
+                want = plain_separating_set(H.edge_masks, H.n, 10**7, exempt)
+                if want is None:
+                    continue
+                rank = _plain_rank(H.n, H.edge_masks, want, exempt)
+                for budget in {rank - 1, rng.randint(1, rank), rng.randint(1, rank)} - {0}:
+                    asked.clear()
+                    _outcome(Hypergraph(H.vertices, H.edges, H.allow_multi), budget, exempt)
+                    for prefix, reach, left in asked:
+                        after = bits(reach >> prefix.bit_length() << prefix.bit_length())
+                        first = (*bits(prefix), *islice(after, left))
+                        assert _plain_rank(H.n, H.edge_masks, first, exempt) <= budget, (
+                            name, H.edges, exempt, budget, prefix, left
+                        )
+                    calls += len(asked)
+                    checked += 1
+        assert checked > 500 and (calls > 1_000 if name == "walker" else not calls), (name, checked, calls)
 
 
 def test_an_exact_cut_keeps_the_budget_outcome(monkeypatch):
@@ -300,22 +399,24 @@ def test_an_exact_cut_keeps_the_budget_outcome(monkeypatch):
 
         return cut
 
-    rng = random.Random(17)
-    checked = 0
-    for H, _ in _separating_cases(rng):
-        for exempt in (False, True):
-            want = plain_separating_set(H.edge_masks, H.n, 10**7, exempt)
-            if want is None:
-                continue
-            rank = _plain_rank(H.n, H.edge_masks, want, exempt)
-            monkeypatch.setattr(transversal, "reaches", exact_cut(H.edge_masks, exempt))
-            for budget in (rank - 1, rank, rank + 1):
-                fresh = Hypergraph(H.vertices, H.edges, H.allow_multi)
-                assert _outcome(fresh, budget, exempt) == _plain_outcome(
-                    H.edge_masks, H.n, budget, exempt
-                ), (H.edges, exempt, budget)
-            checked += 1
-    assert checked > 400 and refused
+    for name in _engines(monkeypatch):
+        rng = random.Random(17)
+        checked = 0
+        refused.clear()
+        for H, _ in _separating_cases(rng):
+            for exempt in (False, True):
+                want = plain_separating_set(H.edge_masks, H.n, 10**7, exempt)
+                if want is None:
+                    continue
+                rank = _plain_rank(H.n, H.edge_masks, want, exempt)
+                monkeypatch.setattr(transversal, "reaches", exact_cut(H.edge_masks, exempt))
+                for budget in (rank - 1, rank, rank + 1):
+                    fresh = Hypergraph(H.vertices, H.edges, H.allow_multi)
+                    assert _outcome(fresh, budget, exempt) == _plain_outcome(
+                        H.edge_masks, H.n, budget, exempt
+                    ), (name, H.edges, exempt, budget)
+                checked += 1
+        assert checked > 400 and bool(refused) == (name == "walker"), (name, checked)
 
 
 def _trace_table(H):
@@ -328,46 +429,47 @@ def _trace_table(H):
     return list(source.trace_memo.items())
 
 
-def test_separating_set_reads_the_trace_memo():
+def test_separating_set_reads_the_trace_memo(monkeypatch):
     """With none, some or all of the exact ``T_k`` memoised, the search
     returns the plain enumeration's witness at its rank and raises exactly
     where it does, with and without exempt rows: at budgets rank - 1, rank
     and rank + 1, and at a budget that ends inside a size the memo lets it
     skip.  Sizes whose ``T_k`` is below the labels needed are charged in
     full, and a memoised ``T_k = |rows|`` is the witness at size k."""
-    rng = random.Random(31)
-    checked = skipped = hits = 0
-    for H, _ in _separating_cases(rng):
-        table = _trace_table(H)
-        for exempt in (False, True):
-            want = plain_separating_set(H.edge_masks, H.n, 10**7, exempt)
-            if want is None:
-                continue
-            rank = _plain_rank(H.n, H.edge_masks, want, exempt)
-            needed = [len(H.edge_masks) - (k if exempt else 0) for k in range(H.n + 1)]
-            floor = next(s for s in range(H.n + 1) if (1 << s) - 1 >= needed[s])
-            plain = {}
-            for primed in ([], rng.sample(table, rng.randint(1, len(table))), table):
-                nonempty = {k: t for (k, empty), (t, _) in primed if not empty}
-                start = max([floor, *(k + 1 for k, t in nonempty.items() if t < needed[k])])
-                budgets = [rank - 1, rank, rank + 1]
-                if start > floor:
-                    size = rng.randrange(floor, start)
-                    before = sum(comb(H.n, s) for s in range(floor, size))
-                    budgets.append(before + rng.randint(1, comb(H.n, size)))
-                    skipped += 1
-                hits += not exempt and nonempty.get(len(want)) == len(H.edge_masks)
-                for budget in budgets:
-                    fresh = Hypergraph(H.vertices, H.edges, H.allow_multi)
-                    fresh.trace_memo.update(primed)
-                    if budget not in plain:
-                        plain[budget] = _plain_outcome(H.edge_masks, H.n, budget, exempt)
-                    outcome = _outcome(fresh, budget, exempt)
-                    assert outcome == plain[budget], (H.edges, exempt, budget, primed)
-                    if outcome != "raise":
-                        assert fresh.separating_memo[exempt] == (want, rank)
-                checked += 1
-    assert checked > 1_500 and skipped > 200 and hits > 300, (checked, skipped, hits)
+    for name in _engines(monkeypatch):
+        rng = random.Random(31)
+        checked = skipped = hits = 0
+        for H, _ in _separating_cases(rng):
+            table = _trace_table(H)
+            for exempt in (False, True):
+                want = plain_separating_set(H.edge_masks, H.n, 10**7, exempt)
+                if want is None:
+                    continue
+                rank = _plain_rank(H.n, H.edge_masks, want, exempt)
+                needed = [len(H.edge_masks) - (k if exempt else 0) for k in range(H.n + 1)]
+                floor = next(s for s in range(H.n + 1) if (1 << s) - 1 >= needed[s])
+                plain = {}
+                for primed in ([], rng.sample(table, rng.randint(1, len(table))), table):
+                    nonempty = {k: t for (k, empty), (t, _) in primed if not empty}
+                    start = max([floor, *(k + 1 for k, t in nonempty.items() if t < needed[k])])
+                    budgets = [rank - 1, rank, rank + 1]
+                    if start > floor:
+                        size = rng.randrange(floor, start)
+                        before = sum(comb(H.n, s) for s in range(floor, size))
+                        budgets.append(before + rng.randint(1, comb(H.n, size)))
+                        skipped += 1
+                    hits += not exempt and nonempty.get(len(want)) == len(H.edge_masks)
+                    for budget in budgets:
+                        fresh = Hypergraph(H.vertices, H.edges, H.allow_multi)
+                        fresh.trace_memo.update(primed)
+                        if budget not in plain:
+                            plain[budget] = _plain_outcome(H.edge_masks, H.n, budget, exempt)
+                        outcome = _outcome(fresh, budget, exempt)
+                        assert outcome == plain[budget], (name, H.edges, exempt, budget, primed)
+                        if outcome != "raise":
+                            assert fresh.separating_memo[exempt] == (want, rank)
+                    checked += 1
+        assert checked > 1_500 and skipped > 200 and hits > 300, (name, checked, skipped, hits)
 
 
 def test_separating_set_reads_a_trace_memo_filled_meanwhile():
@@ -426,25 +528,34 @@ def test_separating_set_reads_a_trace_memo_filled_meanwhile():
 
 def test_report_reads_dt_off_the_trace_table(monkeypatch):
     """A graph report memoises the small ``T_k`` on both sides before its
-    searches: DT-closed and DT-open then test no set, and LD walks from
-    the first size whose memoised ``T_k`` leaves enough labels.  The
-    plain search tested 225 sets for DT and 1,503 for LD here.  A fresh
-    closed side, with no trace memo, still tests 76 sets for DT."""
+    searches: DT-closed and DT-open then test no set.  On the walker, LD
+    walks from the first size whose memoised ``T_k`` leaves enough labels,
+    and a fresh closed side, with no trace memo, still tests 76 sets for
+    DT; the plain search tested 225 sets for DT and 1,503 for LD here.  On
+    the default path both sides are within the gate, so the subset lattice
+    answers LD and the fresh DT, and the report neither tests nor walks a
+    set."""
     tests = _count_calls(monkeypatch, "_separates")
     walks = _count_calls(monkeypatch, "walk")
-    G = random_gnp(16, 0.3, seed=1)
-    report = run_report(G)
-    assert not report.skipped
-    assert sum(not exempt for _, _, exempt in tests) == 0
-    assert sum(exempt for _, _, exempt in tests) == 1_104
-    open_side = neighborhood_hypergraph(G, closed=False)
-    floor = 1 + max(
-        k for (k, empty), (t, _) in open_side.trace_memo.items() if not empty and t < 16 - k
-    )
-    assert floor == 5 and [size for _, size, _ in walks] == [5, 6]
-    tests.clear()
-    closed = neighborhood_hypergraph(random_gnp(16, 0.3, seed=1), closed=True)
-    assert dt_exact(closed).value == 6 and len(tests) == 76
+    for name in _engines(monkeypatch):
+        tests.clear()
+        walks.clear()
+        G = random_gnp(16, 0.3, seed=1)
+        report = run_report(G)
+        assert not report.skipped
+        assert sum(not exempt for _, _, exempt in tests) == 0
+        if name == "default":
+            assert not tests and not walks
+        else:
+            assert sum(exempt for _, _, exempt in tests) == 1_104
+            open_side = neighborhood_hypergraph(G, closed=False)
+            floor = 1 + max(
+                k for (k, empty), (t, _) in open_side.trace_memo.items() if not empty and t < 16 - k
+            )
+            assert floor == 5 and [size for _, size, _ in walks] == [5, 6]
+        tests.clear()
+        closed = neighborhood_hypergraph(random_gnp(16, 0.3, seed=1), closed=True)
+        assert dt_exact(closed).value == 6 and len(tests) == (76 if name == "walker" else 0)
 
 
 def _count_calls(monkeypatch, name):
@@ -460,11 +571,14 @@ def _count_calls(monkeypatch, name):
 
 
 def test_pruned_search_tests_few_leaves(monkeypatch):
-    """The unpruned search tests 4,561 sets for this closed-neighborhood DT."""
-    H = neighborhood_hypergraph(random_gnp(16, 0.3, seed=1), closed=True)
+    """The unpruned search tests 4,561 sets for this closed-neighborhood DT;
+    the walker tests fewer than 500, and the subset lattice none."""
     tests = _count_calls(monkeypatch, "_separates")
-    assert dt_exact(H).value == 6
-    assert 0 < len(tests) < 500
+    for name in _engines(monkeypatch):
+        tests.clear()
+        H = neighborhood_hypergraph(random_gnp(16, 0.3, seed=1), closed=True)
+        assert dt_exact(H).value == 6
+        assert len(tests) < 500 and bool(tests) == (name == "walker"), (name, len(tests))
 
 
 def test_report_shares_dt_searches_with_id_and_old(monkeypatch):
@@ -482,17 +596,19 @@ def test_skip_is_remembered_per_budget(monkeypatch):
     """gamma-ID raises without searching once DT-closed is skipped at the
     same budget, under its own label; a larger budget searches again."""
     searches = _count_calls(monkeypatch, "_search")
-    G = random_tree(14, seed=2)
-    closed = neighborhood_hypergraph(G, closed=True)
-    report = run_report(G, budgets=Budgets(subset_budget=1000))
-    skipped = {s["stage"]: s["detail"] for s in report.skipped}
-    assert skipped["dt-closed"] == "transversal search budget exceeded"
-    assert skipped["gamma-ID"] == "domination search budget exceeded"
-    assert [args[2] for args in searches if args[0] is closed.edge_masks] == [1000]
-    with pytest.raises(BudgetExceededError, match="domination search budget exceeded"):
-        gamma_exact(G, "ID", subset_budget=999)
-    assert gamma_exact(G, "ID", subset_budget=10**7).exact == dt_exact(closed).value
-    assert [args[2] for args in searches if args[0] is closed.edge_masks] == [1000, 10**7]
+    for name in _engines(monkeypatch):
+        searches.clear()
+        G = random_tree(14, seed=2)
+        closed = neighborhood_hypergraph(G, closed=True)
+        report = run_report(G, budgets=Budgets(subset_budget=1000))
+        skipped = {s["stage"]: s["detail"] for s in report.skipped}
+        assert skipped["dt-closed"] == "transversal search budget exceeded"
+        assert skipped["gamma-ID"] == "domination search budget exceeded"
+        assert [args[2] for args in searches if args[0] is closed.edge_masks] == [1000], name
+        with pytest.raises(BudgetExceededError, match="domination search budget exceeded"):
+            gamma_exact(G, "ID", subset_budget=999)
+        assert gamma_exact(G, "ID", subset_budget=10**7).exact == dt_exact(closed).value
+        assert [args[2] for args in searches if args[0] is closed.edge_masks] == [1000, 10**7], name
 
 
 def test_dt_runs_past_a_low_recursion_limit():
