@@ -84,13 +84,15 @@ def separating_set(
     masks) and LD, ID and OLD (rows are neighborhood masks indexed by
     vertex).  With ``selected_exempt`` the row of a selected position
     needs no label, which is how LD differs.  Sizes ascend from the floor
-    where s positions can give 2^s - 1 labels.  On a hypergraph within the
-    trace table's gate (``trace._table_fits``), one down-closure on the
-    table's subset lattice (``_failing_sets``) answers every size and no
-    set is tested.  Above it, within a size, ``_search`` tests the sets
-    ``walk`` yields in lexicographic order, and its cut skips a prefix
-    when ``reaches`` finds that no completion gives the rows
-    ``len(rows)`` distinct nonempty labels.
+    where s positions can give 2^s - 1 labels, and ``_search`` answers on
+    one path: each candidate set, whatever its source, passes one rank
+    test against the budget.  On a hypergraph within the trace table's
+    gate (``trace._table_fits``), one down-closure on the table's subset
+    lattice (``_failing_sets``) gives the first separating set and no set
+    is tested.  Above it, within a size, the candidates are the sets
+    ``walk`` yields in lexicographic order, each tested, and the walk's
+    cut skips a prefix when ``reaches`` finds that no completion gives the
+    rows ``len(rows)`` distinct nonempty labels.
     With ``selected_exempt`` only the rows that can no longer be selected
     (positions up to the last pick, outside the picks) are asked about.
     The cut is sound, so the witness is still the first minimum set.
@@ -101,10 +103,11 @@ def separating_set(
     labels needed, and without ``selected_exempt`` a memoised ``T_k`` equal
     to ``len(rows)`` at the size reached is the answer: its witness is the
     first k-set that carries that many traces, so DT(H) is the least k
-    with ``T_k = |E|``.  Neither changes the witness or its rank.  On a
-    hypergraph within the trace table's gate, the first ``T_k`` asked for
-    (of size 2 up to n - 1) memoises every ``T_k``, so once a report's
-    bounds have asked for one, DT, ID and OLD there are memo hits.
+    with ``T_k = |E|``; that witness is a candidate like any other.
+    Neither changes the witness or its rank.  On a hypergraph within the
+    trace table's gate, the first ``T_k`` asked for (of size 2 up to
+    n - 1) memoises every ``T_k``, so once a report's bounds have asked
+    for one, DT, ID and OLD there are memo hits.
 
     The budget bounds one number, the witness's rank in the plain
     size-ascending enumeration of every candidate: the search raises
@@ -152,27 +155,32 @@ def _search(
     ``T_k`` never falls as k grows while the labels needed never rise, so
     every size up to the last k with ``T_k`` below them fails: the search
     starts after it, and ``done`` counts the skipped sizes' sets in full.
-    Without exempt rows, a size whose ``T_k`` is ``len(rows)`` returns the
-    memoised witness at its rank, under the same budget test, and walks
-    no set.
 
-    Only that rank is budgeted, so the cut needs no accounting.  A size
-    that would start past the budget raises at once, and in the size where
-    the budget ends (``room < C(n, size)``) so does a yielded set ranked
-    past it, since every set before it, cut or tested, fails to separate.
-    In that size ``keep`` also closes the node of a prefix whose first
+    ``found`` maps a size to a separating set found without a walk.
+    Without exempt rows, each ``T_k`` that is ``len(rows)`` gives its
+    memoised witness, the first k-set that separates.  The lattice gives
+    the first set outside ``_failing_sets``, the highest index of the
+    least size class that has one.  That size is the least that
+    separates, so it is at least ``start``, and if a memo hit has it too,
+    the two sets are one.  The lattice is built only when the budget
+    outlasts the skipped sizes and ``start`` is no memo hit, so a budget
+    the skipped sizes use up raises before any bitmap is built.  Off the
+    lattice, a size with no found set walks, and each set the walker
+    yields is tested.
+
+    Every candidate, found or walked, passes one rank test: a set ranked
+    below ``room``, the budget left at its size, returns at ``done + rank
+    + 1`` if it separates, and the first ranked past it ends the size
+    untested.  The test ranks a set only in the size where the budget ends
+    (``room < C(n, size)``), since before it every rank is within ``room``.
+    Only that rank is budgeted, so the cut needs no accounting: every set
+    before it, cut or tested, fails to separate, so that size raises.  In
+    that size ``keep`` also closes the node of a prefix whose first
     completion, the prefix plus the ``left`` positions after ``p``, ranks
     past it: every later completion and every later sibling's ranks after.
     A short reach closes the walk's node, which is sound with LD's exempt
     rows too, since a later sibling has a smaller reach and more needy
     rows.
-
-    The lattice replaces the walk with ``_failing_sets``, built at the
-    first size the walk would start: a size's first set outside it is the
-    class's highest index, which is the same witness at the same rank,
-    under the same budget test.  The floor, the memo's start and hit and
-    the budget test run first, so a budget the skipped sizes already use
-    up raises before any bitmap is built.
     """
 
     def keep(prefix: int, reach: int, p: int, left: int) -> bool | None:
@@ -192,32 +200,26 @@ def _search(
     floor = next(s for s in range(n + 1) if (1 << s) - 1 >= needed(s))
     start = max([floor, *(k + 1 for k, (t, _) in traces.items() if t < needed(k))])
     done = sum(comb(n, s) for s in range(floor, start))
-    bad = None  # the lattice's failing sets, built at the first size it is asked about
+    found = {} if selected_exempt else {k: w for k, (t, w) in traces.items() if t == len(rows)}
+    if lattice and done < budget and start not in found:
+        good = ~_failing_sets(rows, n, selected_exempt)
+        for size, sets in enumerate(size_classes(n)):
+            if sets & good:
+                # The highest index of the size class is its first set.
+                found[size] = lattice_index((sets & good).bit_length() - 1, n)
+                break
     for size in range(start, n + 1):
         room = budget - done
         total = comb(n, size)
-        t, wmask = traces.get(size, (0, 0))
-        if not selected_exempt and t == len(rows):
-            # The first k-set with T_k distinct nonempty traces separates.
-            rank = _rank(n, wmask)
-            if rank < room:
-                return tuple(bits(wmask)), done + rank + 1
-        elif room > 0 and lattice:
-            if bad is None:
-                bad, classes = _failing_sets(rows, n, selected_exempt), size_classes(n)
-            good = classes[size] & ~bad
-            if good:
-                # The highest index of the size class is its first set.
-                smask = lattice_index(good.bit_length() - 1, n)
-                rank = _rank(n, smask)
-                if rank < room:
-                    return tuple(bits(smask)), done + rank + 1
-        elif room > 0:
-            for smask in walk(n, size, keep):
-                if room < total and _rank(n, smask) >= room:
-                    break
-                if _separates(rows, smask, selected_exempt):
-                    return tuple(bits(smask)), done + _rank(n, smask) + 1
+        if size in found:
+            cands = [found[size]]
+        else:
+            cands = () if lattice else walk(n, size, keep)
+        for smask in cands:
+            if room < total and _rank(n, smask) >= room:
+                break
+            if size in found or _separates(rows, smask, selected_exempt):
+                return tuple(bits(smask)), done + _rank(n, smask) + 1
         if room < total:
             raise BudgetExceededError(f"{search} search budget exceeded", budget=budget)
         done += total

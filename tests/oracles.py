@@ -5,6 +5,7 @@ never touches the package's bitmask or peeling code paths, so agreement
 between the two is meaningful evidence.
 """
 
+import random
 import warnings
 from collections import Counter
 from functools import reduce
@@ -331,6 +332,16 @@ def recursive_walk(n, k, keep):
     else:
         out.append(0)
     return out
+
+
+def many_edge_masks():
+    """The edge masks of 300 distinct edges on 11 vertices: a distinct
+    nonempty mask on vertices 2-10 each, and random bits on 0 and 1.  So
+    {2, ..., 10} separates them at the least size, 9 (8 positions give 255
+    labels), and for this seed it is the first 9-set that does, the last
+    of its size."""
+    rng = random.Random(11)
+    return tuple(m << 2 | rng.randrange(4) for m in rng.sample(range(1, 1 << 9), 300))
 
 
 def plain_separating_set(rows, n, budget, selected_exempt=False):

@@ -25,7 +25,7 @@ from hypertrace.hypergraph import bits
 from hypertrace import trace
 from hypertrace.trace import trace_function_exact
 from hypertrace.transversal import _rank, separating_set
-from oracles import brute_dt, plain_separating_set
+from oracles import brute_dt, many_edge_masks, plain_separating_set
 
 # The separating search's two engines, each given as the gate it puts in
 # ``transversal``: the default path, where ``_table_fits`` sends a small
@@ -254,8 +254,11 @@ def _lattice_cases(rng):
     graphs on 0-12 vertices, edgeless ones and ones with isolated vertices
     or open twins among them, and random rows whose count differs from n
     (at most 2^n - 1 of them), in both modes, first four exempt rows on
-    ten positions."""
+    ten positions, and the edge masks of 300 distinct edges on 11
+    positions, more than the trace table's gate admits."""
     yield (831, 305, 2, 742), 10, True
+    yield many_edge_masks(), 11, False
+    yield many_edge_masks(), 11, True
     for _ in range(200):
         n = rng.randint(0, 12)
         G = random_gnp(n, rng.choice([0.0, 0.15 * rng.random(), rng.random()]), seed=rng.randrange(10**6))
