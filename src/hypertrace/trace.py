@@ -25,18 +25,20 @@ CHAIN_EXACT_WORK_LIMIT = 10_000_000
 # Largest j the bootstrapped DT and domination bounds, and a report's chain
 # bounds, go up to.
 J_MAX = 8
-# The trace table's gate (``_table_fits``): bitmaps of at most 2^18 bits
-# (32 KB), at most 256 distinct edges, and distinct edges times n times
-# 2^n at most 2^29, which takes the table about 30-50 ms.  The table also
-# takes one Python step per pair of distinct edges, so pairs stay within
-# 32 per subset.  That sends dense families on at most 9 vertices to the
+# The trace table's gate (``_table_fits``), three terms, each at a
+# measured crossover.  Bitmaps of at most 2^18 bits (32 KB): on the
+# neighbourhoods of 19-20-vertex G(n, 0.3) graphs the searches a report
+# asks for took 7-23 ms against 16-27 ms on the table.  At most 256
+# distinct edges: past it, on random half-density edges, the table lost
+# 34x (n = 14, m = 1,024: 108 against 3.2 ms).  The table also takes one
+# Python step per pair of distinct edges, so pairs stay within 32 per
+# subset.  That sends dense families on at most 9 vertices to the
 # searches, which won there (n = 8, m = 200: 0.6 ms for the searches a
 # report asks for against 4.5 ms; n = 9, m = 256: 2.3 against 7.4 ms),
 # and binds nowhere from n = 10 up, where the table won (n = 10, m = 256:
 # 7.8 against 8.7 ms).
 TABLE_MAX_N = 18
 TABLE_MAX_EDGES = 256
-TABLE_MAX_WORK = 1 << 29
 TABLE_MAX_PAIRS_PER_SUBSET = 32
 
 
@@ -55,11 +57,11 @@ def trace_function_exact(
     computed once per hypergraph and then served from the memo.
     Sizes 0, 1 and n take closed forms on the incidence and build no n-bit
     mask (``_closed_form``).  Any other size, on a hypergraph within the
-    table's gate (``_table_fits``: n and the distinct edge count alone
-    decide it), fills the memo with every ``T_k`` in both modes from one
-    pass over the 2^n subsets (``trace_table``).  Above the gate, the
-    branch-and-bound search ``_search_exact`` finds the one value asked
-    for.
+    table's gate (``_table_fits``: n <= 18, at most 256 distinct edges,
+    and at most 32 pairs of them per subset), fills the memo with every
+    ``T_k`` in both modes from one pass over the 2^n subsets
+    (``trace_table``).  Above the gate, the branch-and-bound search
+    ``_search_exact`` finds the one value asked for.
     """
     if not 0 <= k <= H.n:
         raise ValueError(f"k must be in [0, {H.n}]")
@@ -75,17 +77,22 @@ def trace_function_exact(
 
 
 def _table_fits(H: Hypergraph) -> bool:
-    """Whether ``H`` is small enough for ``trace_table``, which costs about
-    ``3 n`` operations on ``2^n``-bit ints per distinct edge, plus one step
-    per pair of distinct edges, whatever k is asked.  The separating
-    search's subset lattice (``transversal._failing_sets``) costs the
-    same, with one pair per two rows."""
+    """Whether ``H`` is small enough for ``trace_table``, from n and the
+    distinct edge count m alone: ``n <= TABLE_MAX_N``, ``m <=
+    TABLE_MAX_EDGES`` and ``C(m, 2) <= TABLE_MAX_PAIRS_PER_SUBSET * 2^n``.
+    The pair term binds up to n = 9, the edge cap from n = 10 to 18, and
+    the n term above.  The table costs about ``3 n`` operations on
+    ``2^n``-bit ints per distinct edge, plus one step per pair of distinct
+    edges, whatever k is asked: about 70-120 ms at n = 18, m = 256.  On
+    n = 17-18 with up to 256 edges a report took 50-130 ms on it, against
+    0.5-4.5 s on the searches.  The separating search's subset lattice
+    (``transversal._failing_sets``) reads the same gate but costs less:
+    one down-closure over its m + C(m, 2) seeds, not one per edge."""
     n = H.n
     m = len(H.distinct_edges)
     return (
         n <= TABLE_MAX_N
         and m <= TABLE_MAX_EDGES
-        and m * n << n <= TABLE_MAX_WORK
         and comb(m, 2) <= TABLE_MAX_PAIRS_PER_SUBSET << n
     )
 

@@ -43,3 +43,19 @@ def _dedup(edges):
             seen.add(e)
             out.append(e)
     return out
+
+
+def distinct_edges_hypergraph(n, m, half_density=False):
+    """n vertices and m distinct nonempty edges, seeded by n and m: each
+    edge holds 1-4 random vertices, or with ``half_density`` each vertex
+    with probability 1/2."""
+    rng = random.Random(n * 1000 + m)
+    edges = set()
+    while len(edges) < m:
+        if half_density:
+            e = frozenset(v for v in range(n) if rng.random() < 0.5)
+        else:
+            e = frozenset(rng.sample(range(n), rng.randint(1, 4)))
+        if e:
+            edges.add(e)
+    return build_hypergraph(n, sorted(edges, key=sorted))

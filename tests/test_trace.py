@@ -25,7 +25,7 @@ from hypertrace.bench import instance_for_weight
 from hypertrace.errors import BudgetExceededError, MultiEdgeError
 from hypertrace.generate import random_hypergraph, random_tree
 from hypertrace.trace import reaches, walk
-from conftest import random_hypergraph_instances
+from conftest import distinct_edges_hypergraph, random_hypergraph_instances
 from oracles import brute_trace_function, counter_reaches, recursive_walk
 
 
@@ -193,32 +193,45 @@ def test_one_call_inside_the_gate_fills_the_whole_table(monkeypatch):
 
 
 def test_instances_just_outside_the_gate_run_the_search(monkeypatch):
-    # One position too many, and at n = 18 one distinct edge too many for
-    # the work bound (113 * 18 * 2^18 <= 2^29 < 114 * 18 * 2^18).
-    def hypergraph(n, m):
-        rng = random.Random(n * 1000 + m)
-        edges = set()
-        while len(edges) < m:
-            edges.add(frozenset(rng.sample(range(n), rng.randint(1, 4))))
-        return build_hypergraph(n, sorted(edges, key=sorted))
-
-    assert trace._table_fits(hypergraph(18, 113))
-    assert not trace._table_fits(hypergraph(18, 114))
+    # At n = 18 every edge count up to the cap is inside, and one T_3 call
+    # fills the whole table.  One position too many, one distinct edge past
+    # the cap, and at n = 9 one distinct edge too many for the pair bound
+    # (C(181, 2) <= 32 * 2^9 < C(182, 2)) run the search.
+    hypergraph = distinct_edges_hypergraph
     assert not trace._table_fits(hypergraph(12, trace.TABLE_MAX_EDGES + 1))
-    # At n = 9, one distinct edge too many for the pair bound
-    # (C(181, 2) <= 32 * 2^9 < C(182, 2)).
     assert trace._table_fits(hypergraph(9, 181))
     assert not trace._table_fits(hypergraph(9, 182))
     calls = []
     original = trace.reaches
     monkeypatch.setattr(trace, "reaches", lambda *args: calls.append(args) or original(*args))
-    for n, m in ((trace.TABLE_MAX_N + 1, 12), (18, 114), (9, 182)):
+    for m in (114, trace.TABLE_MAX_EDGES):
+        H = hypergraph(18, m)
+        assert trace._table_fits(H)
+        calls.clear()
+        got = trace_function_exact(H, 3)
+        assert not calls and set(H.trace_memo) == {(k, e) for k in range(H.n + 1) for e in (False, True)}, m
+        fresh = Hypergraph(H.vertices, H.edges)
+        assert got == trace._search_exact(fresh, 3, False)
+    for n, m in ((trace.TABLE_MAX_N + 1, 12), (18, trace.TABLE_MAX_EDGES + 1), (9, 182)):
         H = hypergraph(n, m)
         calls.clear()
         got = trace_function_exact(H, 3)
         assert calls and set(H.trace_memo) == {(3, False)}, (n, m)
         fresh = Hypergraph(H.vertices, H.edges)
         assert got == trace._search_exact(fresh, 3, False)
+
+
+def test_the_table_matches_the_search_at_the_gates_edge():
+    # 18 vertices with 114 half-density and 256 small edges, inside the
+    # gate but too large for the brute-force oracle, so the search on a
+    # fresh copy is the reference.
+    for H in (distinct_edges_hypergraph(18, 114, half_density=True), distinct_edges_hypergraph(18, 256)):
+        assert trace._table_fits(H)
+        table = trace.trace_table(H)
+        for k in (2, 3, H.n - 2):
+            for include_empty in (False, True):
+                fresh = Hypergraph(H.vertices, H.edges)
+                assert table[(k, include_empty)] == trace._search_exact(fresh, k, include_empty), (k, include_empty)
 
 
 def test_the_table_does_not_bypass_the_budget():

@@ -25,6 +25,7 @@ from hypertrace.hypergraph import bits
 from hypertrace import trace
 from hypertrace.trace import trace_function_exact
 from hypertrace.transversal import _rank, separating_set
+from conftest import distinct_edges_hypergraph
 from oracles import brute_dt, many_edge_masks, plain_separating_set
 
 # The separating search's two engines, each given as the gate it puts in
@@ -302,6 +303,22 @@ def test_lattice_matches_the_walker_and_the_oracle():
             assert _engine_outcome(rows, n, rank, exempt, lattice) == (want, rank), (rows, n, exempt, lattice)
         checked += 1
     assert checked > 400 and {"edgeless", "isolated", "twins", "more rows", "fewer rows"} <= shapes
+
+
+def test_engines_agree_at_the_gates_edge(monkeypatch):
+    """DT on 18 vertices with 114 half-density and 256 small edges, inside
+    the trace table's gate: the subset lattice the gate picks and the
+    walker give the lattice's witness at its rank and raise one below it.
+    The brute-force oracle is too slow here."""
+    for H in (distinct_edges_hypergraph(18, 114, half_density=True), distinct_edges_hypergraph(18, 256)):
+        assert trace._table_fits(H)
+        witness, rank = transversal._search(H.edge_masks, H.n, 10**9, "parity", False, {}, True)
+        for name in _engines(monkeypatch):
+            fresh = Hypergraph(H.vertices, H.edges)
+            assert _outcome(fresh, rank - 1, False) == "raise", name
+            fresh = Hypergraph(H.vertices, H.edges)
+            assert _outcome(fresh, rank, False) == witness, name
+            assert fresh.separating_memo[False] == (witness, rank), name
 
 
 def test_an_instance_just_outside_the_gate_walks(monkeypatch):
