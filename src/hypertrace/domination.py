@@ -23,17 +23,18 @@ from .degeneracy import reduced_degeneracy
 from .errors import NotATreeError
 from .graphs import Graph, find_twins, neighborhood_hypergraph, tree_stats
 from .trace import J_MAX, SUBSET_BUDGET_DEFAULT, trace_value
-from .transversal import BoundEntry, bootstrap_entries, separating_set
+from .transversal import BoundEntry, bootstrap_entries, separating_set, transversal_bound
 
 KINDS = ("LD", "ID", "OLD")
 
 
 @dataclass(frozen=True)
 class DominationReport:
-    """Outcome of one exact domination computation."""
+    """Outcome of one exact domination computation; every field but
+    ``kind`` is None for a search the budget refused."""
 
     kind: str
-    feasible: bool
+    feasible: bool | None
     exact: int | None
     witness: tuple[int, ...] | None
     infeasible_reason: str | None = None
@@ -112,11 +113,6 @@ def domination_lower_bounds(G: Graph, j_max: int = J_MAX) -> dict[str, KindBound
     dc, do = (reduced_degeneracy(h).reduced for h in (H, Ho))
     out: dict[str, KindBounds] = {}
 
-    def transversal(t_j: int, delta: int, j: int) -> Fraction:
-        # (n - T_j) / delta + j.  Without vertices there is nothing to tell
-        # apart and delta is 0, as in ``dt_lower_bounds`` without edges.
-        return Fraction(n - t_j, delta) + j if n else Fraction(0)
-
     def entries_at(kind: str, j: int) -> list[BoundEntry]:
         tc, fc = trace_value(H, j)
         to, fo = trace_value(Ho, j)
@@ -131,10 +127,10 @@ def domination_lower_bounds(G: Graph, j_max: int = J_MAX) -> dict[str, KindBound
             for name, delta, t_j, form in (("ld-closed-pair", dc, tc, fc), ("ld-open-pair", do, to, fo))
         ]
         if kind == "ID":
-            batch.append(BoundEntry("id-transversal", j, transversal(tc, dc, j), fc, dc))
+            batch.append(BoundEntry("id-transversal", j, transversal_bound(n, tc, dc, j), fc, dc))
         elif kind == "OLD":
-            certified_value = transversal(to, do, j)
-            literal_value = transversal(tc, do, j)
+            certified_value = transversal_bound(n, to, do, j)
+            literal_value = transversal_bound(n, tc, do, j)
             flags = ("formula-discrepancy",) if literal_value != certified_value else ()
             value = min(certified_value, literal_value)
             form = fo if value == certified_value else fc

@@ -21,6 +21,7 @@ from . import __version__
 from .degeneracy import DegeneracyTriple, reduced_degeneracy
 from .domination import (
     KINDS,
+    DominationReport,
     domination_lower_bounds,
     gamma_exact,
     tree_degeneracy_certificates,
@@ -327,36 +328,30 @@ def _domination(G: Graph, r: AnalysisReport, budgets: Budgets, dt_closed: int | 
     block = {}
     exacts: dict[str, int | None] = {}
     for kind in KINDS:
+        # A skipped search reads as a report with nothing known.
         report = r.stage(
             f"gamma-{kind}", lambda k=kind: gamma_exact(G, k, subset_budget=budgets.subset_budget)
-        )
+        ) or DominationReport(kind, None, None, None)
         kb = kind_bounds[kind]
-        entry = {
-            "feasible": report.feasible if report is not None else None,
-            "exact": exact_value(report.exact)
-            if report is not None and report.exact is not None
-            else None,
-            "witness": list(report.witness)
-            if report is not None and report.witness is not None
-            else None,
-            "infeasible_reason": report.infeasible_reason if report is not None else None,
-            "infeasible_pair": list(report.infeasible_pair)
-            if report is not None and report.infeasible_pair
-            else None,
+        block[kind] = {
+            "feasible": report.feasible,
+            "exact": exact_value(report.exact) if report.exact is not None else None,
+            "witness": list(report.witness) if report.witness is not None else None,
+            "infeasible_reason": report.infeasible_reason,
+            "infeasible_pair": list(report.infeasible_pair) if report.infeasible_pair else None,
             "lower_bounds": [bound_entry_dict(b) for b in kb.entries],
             "caveats": list(kb.caveats),
         }
-        block[kind] = entry
-        exacts[kind] = report.exact if report is not None else None
-        if report is not None and report.exact is not None:
+        exacts[kind] = report.exact
+        if report.exact is not None:
             _bounds_below_exact(r, f"gamma-{kind}-bounds-below-exact", kb.entries, report.exact)
     r.results["domination"] = block
-    if exacts.get("LD") is not None:
-        if exacts.get("ID") is not None:
+    if exacts["LD"] is not None:
+        if exacts["ID"] is not None:
             r.check("gamma-id-at-least-ld", exacts["ID"] >= exacts["LD"])
-        if exacts.get("OLD") is not None:
+        if exacts["OLD"] is not None:
             r.check("gamma-old-at-least-ld", exacts["OLD"] >= exacts["LD"])
-    if exacts.get("ID") is not None and dt_closed is not None:
+    if exacts["ID"] is not None and dt_closed is not None:
         r.check("id-equals-dt-closed", exacts["ID"] == dt_closed)
 
 

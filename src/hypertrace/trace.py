@@ -20,7 +20,8 @@ from .errors import BudgetExceededError, MultiEdgeError
 from .hypergraph import Hypergraph, bits
 
 SUBSET_BUDGET_DEFAULT = 2_000_000
-# Exact trace values feed the chain bounds only while enumeration stays cheap.
+# The bounds' T_j (``trace_value``) are exact while C(n, j) times the distinct
+# edge count stays within this limit.
 CHAIN_EXACT_WORK_LIMIT = 10_000_000
 # Largest j the bootstrapped DT and domination bounds, and a report's chain
 # bounds, go up to.
@@ -376,11 +377,10 @@ def reaches(
     on ``smask`` stay apart, and the group that is empty on ``smask``
     yields at most ``2^left - 1`` nonempty traces.  While ``2^left``
     exceeds the number of values on ``reach``, no group meets that cap, so
-    the answer is yes at once, as it is for a ``target`` of 0, which the
-    trace search asks before it has counted any k-set.
+    the answer is yes at once.  So is it for a ``target`` of 0, which the
+    trace search asks before it has counted any k-set: every bound below
+    is at least 0.
     """
-    if target <= 0:
-        return True
     on_reach = {m & reach for m in masks}
     if not include_empty:
         on_reach.discard(0)
@@ -403,13 +403,17 @@ def trace_value(H: Hypergraph, j: int) -> tuple[int, str]:
     """``T_j`` for the bounds: exact while cheap, else the 2^j - 1 relaxation.
 
     Returns (value, form) with form "exact-T" or "power-of-two".  The exact
-    value is used while C(n, j) times the distinct edge count stays within
-    ``CHAIN_EXACT_WORK_LIMIT``.
+    value is used while C(n, j) times the distinct edge count m stays within
+    ``CHAIN_EXACT_WORK_LIMIT``: ``trace_function_exact``'s own budget check,
+    with the budget ``CHAIN_EXACT_WORK_LIMIT // m``, since for integers
+    ``C(n, j) * m <= L`` iff ``C(n, j) <= L // m``.  Its refusal comes
+    before any table fill, so a relaxed ``T_j`` memoises nothing.
     """
-    if comb(H.n, j) * max(len(H.distinct_edges), 1) <= CHAIN_EXACT_WORK_LIMIT:
-        t, _ = trace_function_exact(H, j, subset_budget=CHAIN_EXACT_WORK_LIMIT)
-        return t, "exact-T"
-    return (1 << j) - 1, "power-of-two"
+    budget = CHAIN_EXACT_WORK_LIMIT // max(len(H.distinct_edges), 1)
+    try:
+        return trace_function_exact(H, j, subset_budget=budget)[0], "exact-T"
+    except BudgetExceededError:
+        return (1 << j) - 1, "power-of-two"
 
 
 def sauer_shelah_bound(d: int, k: int) -> int:

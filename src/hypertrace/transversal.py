@@ -306,6 +306,16 @@ def bootstrap_entries(entries_at: Callable[[int], list[BoundEntry]], j_max: int)
     return entries
 
 
+def transversal_bound(count: int, t_j: int, delta: int, j: int) -> Fraction:
+    """The lower bound ``(count - T_j) / delta + j`` on a distinguishing
+    transversal of ``count`` edges, with ``T_j`` and the reduced degeneracy
+    ``delta`` read from one hypergraph: DT on ``H``, and ID and OLD on a
+    graph's closed and open neighborhood hypergraphs, where ``count`` is
+    the vertex count.  Without edges there is nothing to tell apart and
+    ``delta`` is 0, so the bound is 0."""
+    return Fraction(count - t_j, delta) + j if count else Fraction(0)
+
+
 def dt_lower_bounds(H: Hypergraph, j_max: int = J_MAX) -> list[BoundEntry]:
     """Certified lower bounds on the distinguishing transversal number,
     with j bootstrapped by ``bootstrap_entries``."""
@@ -322,6 +332,6 @@ def dt_lower_bounds(H: Hypergraph, j_max: int = J_MAX) -> list[BoundEntry]:
         forms = [(t_j, form)]
         if form != "power-of-two":
             forms.append(((1 << j) - 1, "power-of-two"))
-        return [BoundEntry("dt", j, Fraction(m - t, delta) + j, f, delta) for t, f in forms]
+        return [BoundEntry("dt", j, transversal_bound(m, t, delta, j), f, delta) for t, f in forms]
 
     return bootstrap_entries(entries_at, j_max)
