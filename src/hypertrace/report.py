@@ -32,6 +32,7 @@ from .graphs import Graph, find_twins, neighborhood_hypergraph, tree_stats
 from .hypergraph import Hypergraph
 from .io import hypergraph_text, serialize_graph
 from .trace import (
+    EXACT_COUNT_MAX,
     J_MAX,
     SUBSET_BUDGET_DEFAULT,
     degeneracy_chain_bounds,
@@ -61,18 +62,22 @@ class AnalysisReport:
     def stage(self, name: str, fn):
         """``fn()``, timed as stage ``name``; a budget overrun is recorded
         as a skip, with the error's ``needed`` and ``budget``, and gives
-        ``None``."""
+        ``None``.  A ``needed`` above ``EXACT_COUNT_MAX`` is written as
+        null, with its floored log2 as ``needed_log2``."""
         start = time.perf_counter()
         try:
             return fn()
         except BudgetExceededError as exc:
-            self.skipped.append({
+            skip = {
                 "stage": name,
                 "reason": "budget",
                 "detail": str(exc),
                 "needed": exc.needed,
                 "budget": exc.budget,
-            })
+            }
+            if exc.needed is not None and exc.needed > EXACT_COUNT_MAX:
+                skip.update(needed=None, needed_log2=exc.needed.bit_length() - 1)
+            self.skipped.append(skip)
             return None
         finally:
             self.timings[name] = time.perf_counter() - start

@@ -20,6 +20,9 @@ from .errors import BudgetExceededError, MultiEdgeError
 from .hypergraph import Hypergraph, bits
 
 SUBSET_BUDGET_DEFAULT = 2_000_000
+# A refused subset count is written out while a JSON reader that holds
+# numbers as doubles reads it exactly; a larger one by its floored log2.
+EXACT_COUNT_MAX = 1 << 53
 # The bounds' T_j (``trace_value``) are exact while C(n, j) times the distinct
 # edge count stays within this limit.
 CHAIN_EXACT_WORK_LIMIT = 10_000_000
@@ -54,7 +57,8 @@ def trace_function_exact(
     Counts nonempty traces unless ``include_empty`` is set.  Ties among
     maximizing subsets break to the lexicographically first witness.
     Refuses instances whose C(n, k) exceeds ``subset_budget``, whether or
-    not the value is already in ``H.trace_memo``; otherwise each value is
+    not the value is already in ``H.trace_memo``, and writes C(n, k) into
+    the refusal only up to ``EXACT_COUNT_MAX``; otherwise each value is
     computed once per hypergraph and then served from the memo.
     Sizes 0, 1 and n take closed forms on the incidence and build no n-bit
     mask (``_closed_form``).  Any other size, on a hypergraph within the
@@ -68,8 +72,9 @@ def trace_function_exact(
         raise ValueError(f"k must be in [0, {H.n}]")
     total = comb(H.n, k)
     if total > subset_budget:
+        size = f"= {total}" if total <= EXACT_COUNT_MAX else f">= 2^{total.bit_length() - 1}"
         raise BudgetExceededError(
-            f"C({H.n},{k}) = {total} subsets exceed the budget", needed=total, budget=subset_budget
+            f"C({H.n},{k}) {size} subsets exceed the budget", needed=total, budget=subset_budget
         )
     memo = H.trace_memo
     if 1 < k < H.n and (k, include_empty) not in memo and _table_fits(H):

@@ -1,6 +1,7 @@
 import json
 import sys
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -68,6 +69,25 @@ def test_refused_trace_entry_is_a_skip():
     ]
     entry = next(e for e in report.results["trace"] if e["k"] == 12)
     assert entry["exact"] is None and not entry["caveats"]
+
+
+def test_report_past_the_exact_count_limit():
+    # C(15000, 7500) has about 4,500 digits, more than Python turns into a
+    # string.  Past 2^53 a skip gives only the needed count's log2.
+    report = run_report(build_hypergraph(15_000, [[v, v + 1] for v in range(14_999)]))
+    assert report.exit_code == 3
+    doc = json.loads(report.to_json(include_timings=False))
+    validate_report(doc)
+    skip = next(s for s in doc["skipped"] if s["stage"] == "trace-k7500")
+    log2 = comb(15_000, 7_500).bit_length() - 1
+    assert skip == {
+        "stage": "trace-k7500",
+        "reason": "budget",
+        "detail": f"C(15000,7500) >= 2^{log2} subsets exceed the budget",
+        "needed": None,
+        "needed_log2": log2,
+        "budget": 2_000_000,
+    }
 
 
 def test_trace_entries_share_one_shape(tri, p4):

@@ -9,7 +9,7 @@ search across its budget boundary.
 import importlib.util
 from pathlib import Path
 
-DIGEST = "d68691cdf5f40867284207def6b3a03f4b5f1f099c27eea903f186411739c79a  486 reports"
+DIGEST = "73605e16e0683ea61b356002e0a41d7f7c3c0d2c89681267d3acdf5c8af9e4c4  486 reports"
 
 
 def test_report_digest_is_pinned():

@@ -547,6 +547,17 @@ def test_chain_uses_power_of_two_when_expensive():
     assert forms[0] == "exact-T"
 
 
+def test_bounds_admit_exact_t_j_up_to_the_work_limit():
+    # The bounds' T_j is exact while C(n, j) times the distinct edge count
+    # stays within CHAIN_EXACT_WORK_LIMIT = 10^7: n = 10,000 with 1,000
+    # edges is admitted, and one edge more is refused without a memo entry.
+    for m, form in ((1_000, "exact-T"), (1_001, "power-of-two")):
+        H = build_hypergraph(10_000, [[v] for v in range(m)])
+        assert (10_000 * m <= trace.CHAIN_EXACT_WORK_LIMIT) == (form == "exact-T")
+        assert trace.trace_value(H, 1) == (1, form)
+        assert ((1, False) in H.trace_memo) == (form == "exact-T")
+
+
 def test_lower_bound_values(tri):
     assert trace_count_lower_bound(tri, 2) == 3
     assert trace_count_lower_bound(tri, 5) == 3
