@@ -46,9 +46,9 @@ def _non_negative(text: str) -> int:
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--budget-subsets", type=_non_negative, default=SUBSET_BUDGET_DEFAULT,
-                   help="subset budget of the exact searches (trace entries' T_k, VC, DT, "
-                   "domination); the bounds' T_j pass the same C(n, k) check with the "
-                   "fixed budget 10^7 // (distinct edge count)")
+                   help="subset budget of the exact searches (trace entries' T_k, VC, DT, domination), "
+                   "charged only for a value the instance does not already hold; the bounds' T_j "
+                   "pass the same C(n, k) check with the fixed budget 10^7 // (distinct edge count)")
     p.add_argument("--allow-multi", action="store_true",
                    help="keep duplicate hypergraph edges instead of collapsing")
     p.add_argument("--json", dest="as_json", action="store_true", help="emit JSON")

@@ -143,7 +143,8 @@ class Hypergraph:
     @cached_property
     def trace_memo(self) -> dict[tuple[int, bool], tuple[int, tuple[int, ...]]]:
         """Exact trace-function results keyed by (k, include_empty), filled by
-        ``trace_function_exact`` and shared by every bound on this value."""
+        ``trace_function_exact``, served by it at any budget and shared by
+        every bound on this value."""
         return {}
 
     @cached_property
@@ -155,8 +156,8 @@ class Hypergraph:
     @cached_property
     def separating_memo(self) -> dict[bool, tuple[tuple[int, ...] | None, int]]:
         """``separating_set`` outcomes keyed by ``selected_exempt``: the
-        witness positions and their rank once found, else ``None`` and the
-        largest budget the search exceeded."""
+        witness positions and their rank once found, served at any budget,
+        else ``None`` and the largest budget the search exceeded."""
         return {}
 
     def normalize_subset(self, subset: Iterable[int]) -> frozenset[int]:

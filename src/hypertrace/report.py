@@ -303,11 +303,12 @@ def _analyze(instance, r: AnalysisReport, budgets: Budgets, analyses) -> None:
         twins, isolated = (" (twins)", " (isolated vertex)") if graph else ("", "")
         block = {}
         for side, h in sides.items():
-            if not h.is_simple:
-                block[side] = {"undefined": "duplicate edges" + twins}
-                continue
+            # Two empty edges are duplicates too, so the empty edge comes first.
             if any(not e for e in h.edges):
                 block[side] = {"undefined": "empty edge" + isolated}
+                continue
+            if not h.is_simple:
+                block[side] = {"undefined": "duplicate edges" + twins}
                 continue
             name = named("dt", side)
             bounds = r.stage(f"{name}-bounds", lambda h=h: dt_lower_bounds(h))

@@ -56,10 +56,12 @@ def trace_function_exact(
 
     Counts nonempty traces unless ``include_empty`` is set.  Ties among
     maximizing subsets break to the lexicographically first witness.
-    Refuses instances whose C(n, k) exceeds ``subset_budget``, whether or
-    not the value is already in ``H.trace_memo``, and writes C(n, k) into
-    the refusal only up to ``EXACT_COUNT_MAX``; otherwise each value is
-    computed once per hypergraph and then served from the memo.
+    Each value is computed once per hypergraph and kept in
+    ``H.trace_memo``, which serves it at any ``subset_budget``: the budget
+    is charged only for a value the call would compute.  A value not held
+    is refused when C(n, k) exceeds ``subset_budget``, before any table
+    fill, so a refusal memoises nothing; the refusal writes C(n, k) only
+    up to ``EXACT_COUNT_MAX``.
     Sizes 0, 1 and n take closed forms on the incidence and build no n-bit
     mask (``_closed_form``).  Any other size, on a hypergraph within the
     table's gate (``_table_fits``: n <= 18, at most 256 distinct edges,
@@ -70,16 +72,18 @@ def trace_function_exact(
     """
     if not 0 <= k <= H.n:
         raise ValueError(f"k must be in [0, {H.n}]")
-    total = comb(H.n, k)
-    if total > subset_budget:
-        size = f"= {total}" if total <= EXACT_COUNT_MAX else f">= 2^{total.bit_length() - 1}"
-        raise BudgetExceededError(
-            f"C({H.n},{k}) {size} subsets exceed the budget", needed=total, budget=subset_budget
-        )
     memo = H.trace_memo
-    if 1 < k < H.n and (k, include_empty) not in memo and _table_fits(H):
-        memo.update(trace_table(H))
-    return _search_exact(H, k, include_empty)
+    if (k, include_empty) not in memo:
+        total = comb(H.n, k)
+        if total > subset_budget:
+            size = f"= {total}" if total <= EXACT_COUNT_MAX else f">= 2^{total.bit_length() - 1}"
+            raise BudgetExceededError(
+                f"C({H.n},{k}) {size} subsets exceed the budget", needed=total, budget=subset_budget
+            )
+        if 1 < k < H.n and _table_fits(H):
+            memo.update(trace_table(H))
+    # A held value is a 2-tuple, never falsy; without one the search runs.
+    return memo.get((k, include_empty)) or _search_exact(H, k, include_empty)
 
 
 def _table_fits(H: Hypergraph) -> bool:
@@ -214,8 +218,9 @@ def size_classes(n: int) -> list[int]:
 
 
 def _search_exact(H: Hypergraph, k: int, include_empty: bool) -> tuple[int, tuple[int, ...]]:
-    """``trace_function_exact`` without its budget and table: the memo, the
-    closed forms, then the branch-and-bound search.
+    """``trace_function_exact`` without its memo read, budget and table:
+    the closed forms, then the branch-and-bound search, memoising the
+    result.
 
     The search counts the k-sets ``walk`` yields and stops at the first whose
     count reaches the ceiling (the distinct edge count, or ``2^k``; without
@@ -237,8 +242,6 @@ def _search_exact(H: Hypergraph, k: int, include_empty: bool) -> tuple[int, tupl
     """
     memo = H.trace_memo
     key = (k, include_empty)
-    if key in memo:
-        return memo[key]
     if k in (0, 1, H.n):
         memo[key] = result = _closed_form(H, k, include_empty)
         return result

@@ -113,15 +113,16 @@ def separating_set(
     size-ascending enumeration of every candidate: the search raises
     "<search> search budget exceeded" iff that rank exceeds ``budget``,
     whatever its cut skipped.  Callers must ensure the full position set
-    qualifies.  The outcome is kept in ``H.separating_memo``: a found
-    witness is served to every budget at least its rank, and a budget no
-    larger than one already exceeded raises without searching again.
+    qualifies.  The outcome is kept in ``H.separating_memo``, and the
+    budget is charged only for a search the call would start: a found
+    witness is served at any budget, and a budget no larger than one
+    already exceeded raises without searching again.
     """
     memo = H.separating_memo
     witness, count = memo.get(selected_exempt, (None, -1))
-    if witness is not None and count <= budget:
+    if witness is not None:
         return witness
-    if witness is not None or budget <= count:
+    if budget <= count:
         raise BudgetExceededError(f"{search} search budget exceeded", budget=budget)
     # A snapshot: another thread may add to the trace memo meanwhile.
     entries = tuple(H.trace_memo.items())
@@ -171,8 +172,12 @@ def _search(
     Every candidate, found or walked, passes one rank test: a set ranked
     below ``room``, the budget left at its size, returns at ``done + rank
     + 1`` if it separates, and the first ranked past it ends the size
-    untested.  The test ranks a set only in the size where the budget ends
-    (``room < C(n, size)``), since before it every rank is within ``room``.
+    untested.  So a witness the trace memo gives still counts against the
+    budget, as this is the search the call starts; only a separating set
+    already found (``H.separating_memo``) is served at any budget, by
+    ``separating_set`` before it calls ``_search``.  The test ranks a set
+    only in the size where the budget ends (``room < C(n, size)``), since
+    before it every rank is within ``room``.
     Only that rank is budgeted, so the cut needs no accounting: every set
     before it, cut or tested, fails to separate, so that size raises.  In
     that size ``keep`` also closes the node of a prefix whose first
@@ -279,9 +284,9 @@ def dt_exact(H: Hypergraph, subset_budget: int = SUBSET_BUDGET_DEFAULT) -> DtRes
     neighborhood hypergraph) is answered without searching again.  ``subset_budget`` bounds the
     witness's rank in the plain size-ascending order of candidate sets.
     """
-    _require_simple(H)
     if any(not e for e in H.edges):
         raise ValueError("an empty edge admits no transversal")
+    _require_simple(H)
     if H.m == 0:
         return DtResult(0, ())
     combo = separating_set(H, subset_budget, "transversal")
@@ -319,9 +324,9 @@ def transversal_bound(count: int, t_j: int, delta: int, j: int) -> Fraction:
 def dt_lower_bounds(H: Hypergraph, j_max: int = J_MAX) -> list[BoundEntry]:
     """Certified lower bounds on the distinguishing transversal number,
     with j bootstrapped by ``bootstrap_entries``."""
-    _require_simple(H)
     if any(not e for e in H.edges):
         raise ValueError("an empty edge admits no transversal")
+    _require_simple(H)
     m = H.m
     if m == 0:
         return [BoundEntry("dt", 0, Fraction(0), "exact-T", 0)]

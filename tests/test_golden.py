@@ -2,9 +2,10 @@
 
 Each digest is the sha256 of ``to_json(include_timings=False)``, so a
 refactor that changes any result, bound, witness, check or skip detail by
-one byte fails here.  The corpus covers graphs, trees with budget skips on
-a trace entry's T_k, DT-closed, LD and ID, and plain hypergraphs with T_k
-and DT skips, and runs in about a second.
+one byte fails here.  The corpus covers graphs, a tree whose trace entry's
+T_k is served from the memo at a budget below C(n, k), with budget skips
+on DT-closed, LD and ID, and plain hypergraphs with T_k and DT skips, and
+runs in about a second.
 """
 
 import hashlib
@@ -28,13 +29,13 @@ DIGESTS = {
     "gnp16": "b55d7e2b3606b48eaa0c6af9dd0f2f82ff4e5ed8b0c9d218c3127eeeb14ac78e",
     "gnp15": "d7185a8b705e8bbc5e40a2fdf493c73689d04defafb105cbe3f23882393d573f",
     "tree10": "2bfc0cf6f4fbd8986776f6bce356eb5ee99546851d8baab1e1a7709e637b37f1",
-    "tree14": "87934cba2f52143994add59f8e855a79c590a2dbdd657ee055a40da120d3e69c",
+    "tree14": "260e072ca887ea8836d2639785ae70e44729bb444feaa66b8be6caa4516dfc21",
     "h14": "671d14de041c7d4c71bde46c6585006ae5a5318057c3b36d721ec5b48befe195",
     "h50": "61518eec0dcd4848e8789d08b5e4408df21168b13bc01631692dff2ab9c6e52f",
 }
 
 SKIPPED = {
-    "tree14": ["trace-k7", "dt-closed", "gamma-LD", "gamma-ID"],
+    "tree14": ["dt-closed", "gamma-LD", "gamma-ID"],
     "h50": ["trace-k25", "dt"],
 }
 

@@ -8,6 +8,7 @@ import pytest
 from hypertrace import Budgets, Graph, build_hypergraph, restriction, run_report, validate_report
 from hypertrace import degeneracy
 from hypertrace.generate import random_gnp, random_hypergraph, random_tree
+from hypertrace.transversal import dt_exact, dt_lower_bounds
 
 
 def test_hypergraph_report(tri):
@@ -69,6 +70,44 @@ def test_refused_trace_entry_is_a_skip():
     ]
     entry = next(e for e in report.results["trace"] if e["k"] == 12)
     assert entry["exact"] is None and not entry["caveats"]
+
+
+def test_a_trace_value_the_bounds_hold_is_reported_at_any_budget():
+    # At budget 50 the closed side's T_2 is asked before the chain bounds
+    # compute it, under their own fixed budget, which fills the trace table
+    # with every T_k: trace-k2 is skipped, trace-k8 is served from the memo.
+    G = random_gnp(16, 0.3, seed=1)
+    low = run_report(G, budgets=Budgets(50))
+    full = run_report(G)
+    stages = [s["stage"] for s in low.skipped]
+    assert "trace-k2" in stages and "trace-k8" not in stages
+    low_k8, full_k8 = ({e["k"]: e for e in r.results["trace_closed"]}[8] for r in (low, full))
+    for key in ("exact", "exact_with_empty", "witness"):
+        assert low_k8[key] == full_k8[key] is not None, key
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        Graph.from_edges(4, [(0, 1)]),  # two isolated vertices
+        Graph.from_edges(4, [(0, 1), (0, 2)]),  # one isolated vertex, open twins 1 and 2
+        build_hypergraph(3, [[], [], [0]], allow_multi=True),  # two empty edges
+    ],
+)
+def test_an_empty_edge_is_named_before_duplicate_edges(instance):
+    # An empty edge is the fault whenever a side has one, even where it
+    # also has duplicate edges (two empty edges are duplicates too), so DT
+    # and OLD name one fault on a graph's open side.
+    res = run_report(instance).results
+    if isinstance(instance, Graph):
+        assert res["dt"]["open"] == {"undefined": "empty edge (isolated vertex)"}
+        assert res["domination"]["OLD"]["infeasible_reason"] == "isolated vertex has an empty open neighborhood"
+    else:
+        assert res["dt"] == {"undefined": "empty edge"}
+        with pytest.raises(ValueError, match="empty edge"):
+            dt_exact(instance)
+        with pytest.raises(ValueError, match="empty edge"):
+            dt_lower_bounds(instance)
 
 
 def test_report_past_the_exact_count_limit():

@@ -9,7 +9,7 @@ search across its budget boundary.
 import importlib.util
 from pathlib import Path
 
-DIGEST = "73605e16e0683ea61b356002e0a41d7f7c3c0d2c89681267d3acdf5c8af9e4c4  486 reports"
+DIGEST = "8c2003b399f74d34e0b5960b1c4cfec49f53c33afc1a1ba49f7d9b53f20b23e9  486 reports"
 
 
 def test_report_digest_is_pinned():

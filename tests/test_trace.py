@@ -74,11 +74,22 @@ def test_exact_is_memoised_per_hypergraph():
     assert trace_function_exact(H, 4, include_empty=True) == brute_trace_function(H, 4, True)
 
 
-def test_memo_does_not_bypass_the_budget():
+@pytest.mark.parametrize("fill", ["table", "search"])
+def test_a_held_value_is_served_at_any_budget(fill):
+    # C(12, 6) = 924.  Once T_6 is held, in both modes, a budget below that
+    # still gets it, and so does a budget of 0: only a computation is
+    # charged.  The table holds it after a T_2 call, the search after its own.
     H = build_hypergraph(12, [{0, 1}, {2, 3, 4}, {5, 11}])
-    trace_function_exact(H, 6, subset_budget=10**6)
-    with pytest.raises(BudgetExceededError):
-        trace_function_exact(H, 6, subset_budget=923)  # C(12, 6) = 924
+    if fill == "table":
+        trace_function_exact(H, 2)
+    else:
+        for include_empty in (False, True):
+            trace._search_exact(H, 6, include_empty)
+    for include_empty in (False, True):
+        held = H.trace_memo[(6, include_empty)]
+        assert held == brute_trace_function(H, 6, include_empty)
+        for budget in (923, 0):
+            assert trace_function_exact(H, 6, include_empty, subset_budget=budget) == held
 
 
 def test_exact_witness_is_lexicographically_first():
@@ -234,20 +245,18 @@ def test_the_table_matches_the_search_at_the_gates_edge():
                 assert table[(k, include_empty)] == trace._search_exact(fresh, k, include_empty), (k, include_empty)
 
 
-def test_the_table_does_not_bypass_the_budget():
-    # The test_memo_does_not_bypass_the_budget shape on an instance the
-    # table serves: T_2 fills the memo with T_6 too, yet a budget below
-    # C(12, 6) still refuses it, and a refused call fills nothing.
+def test_a_value_not_held_is_refused_and_memoises_nothing():
+    # On a fresh copy of an instance the table serves, T_6 is not held, so
+    # a budget below C(12, 6) = 924 still refuses it, before the table
+    # fills, in both modes.
     H = build_hypergraph(12, [{0, 1}, {2, 3, 4}, {5, 11}])
-    refused = Hypergraph(H.vertices, H.edges)
-    with pytest.raises(BudgetExceededError):
-        trace_function_exact(refused, 6, subset_budget=923)
-    assert not refused.trace_memo
     trace_function_exact(H, 2)
     assert (6, False) in H.trace_memo and (6, True) in H.trace_memo
+    refused = Hypergraph(H.vertices, H.edges)
     for include_empty in (False, True):
         with pytest.raises(BudgetExceededError):
-            trace_function_exact(H, 6, include_empty, subset_budget=923)  # C(12, 6) = 924
+            trace_function_exact(refused, 6, include_empty, subset_budget=923)
+    assert not refused.trace_memo
 
 
 def test_closed_forms_match_the_oracle():

@@ -203,8 +203,9 @@ def _separating_cases(rng):
 
 
 def test_separating_set_matches_plain_enumeration(monkeypatch):
-    """Witness and raise/no-raise equal the unpruned search at every budget,
-    on a fresh hypergraph and through one hypergraph's memo alike."""
+    """Witness and raise/no-raise equal the unpruned search at every budget
+    on a fresh hypergraph.  Through one hypergraph's memo they do too until
+    a witness is found, and that witness is served at every later budget."""
     for name in _engines(monkeypatch):
         rng = random.Random(5)
         checked = 0
@@ -212,11 +213,15 @@ def test_separating_set_matches_plain_enumeration(monkeypatch):
             if plain_separating_set(H.edge_masks, H.n, 10**7, exempt) is None:
                 continue  # even the full vertex set does not separate
             shared = Hypergraph(H.vertices, H.edges, H.allow_multi)
+            held = None
             for budget in (rng.randint(1, 300), 10**7, rng.randint(1, 300), rng.randint(1, 300)):
                 want = _plain_outcome(H.edge_masks, H.n, budget, exempt)
                 fresh = Hypergraph(H.vertices, H.edges, H.allow_multi)
                 assert _outcome(fresh, budget, exempt) == want, (name, H.edges, exempt, budget)
-                assert _outcome(shared, budget, exempt) == want, (name, H.edges, exempt, budget)
+                got = _outcome(shared, budget, exempt)
+                assert got == (want if held is None else held), (name, H.edges, exempt, budget)
+                if got != "raise":
+                    held = got
                 checked += 1
         assert checked > 600, name
 
