@@ -1,10 +1,14 @@
 """Print one sha256 over the reports of a fixed, seeded corpus.
 
-    PYTHONPATH=src python3 tools/report_digest.py
+    PYTHONPATH=src python3 tools/report_digest.py [--each]
 
 Run it at two commits: a refactor that keeps every report byte-identical
 prints the same digest at both.  ``tests/test_report_digest.py`` pins the
 line, so a change that alters a report updates it there and says why.
+With ``--each`` a line per report comes first: its corpus index, its
+subset budget, its exit code and the first 16 hex digits of its own
+sha256.  Diffing that output from two commits names the reports a change
+touched.
 The corpus is 162 instances, each analysed at subset budgets 50, 2,000
 and the default: G(n, p) graphs, random trees, hypergraphs that are
 plain, multi-edge, carry empty edges, or are restrictions whose vertex
@@ -22,9 +26,11 @@ that alters a value stops the run.  Uses only the standard library and
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import random
 import warnings
+from collections.abc import Callable
 
 from hypertrace import (
     Budgets,
@@ -87,25 +93,32 @@ def check_round_trip(instance) -> None:
         raise AssertionError(f"{instance!r} does not parse back from its text")
 
 
-def digest_line() -> str:
+def digest_line(each: Callable[[str], object] | None = None) -> str:
     """The sha256 over the corpus's reports and their count, the line
-    ``main`` prints."""
+    ``main`` prints.  ``each``, if given, is called with one line per
+    report, as ``--each`` prints it."""
     digest = hashlib.sha256()
     reports = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for instance in corpus():
+        for index, instance in enumerate(corpus()):
             check_round_trip(instance)
             for budgets in BUDGETS:
                 report = run_report(instance, budgets=budgets)
-                digest.update(report.to_json(include_timings=False).encode())
+                text = report.to_json(include_timings=False)
+                digest.update(text.encode())
                 digest.update(f"\nexit {report.exit_code}\n".encode())
                 reports += 1
+                if each is not None:
+                    short = hashlib.sha256(text.encode()).hexdigest()[:16]
+                    each(f"{index} {budgets.subset_budget} exit {report.exit_code} {short}")
     return f"{digest.hexdigest()}  {reports} reports"
 
 
 def main() -> None:
-    print(digest_line())
+    parser = argparse.ArgumentParser(description="Print the report digest of the fixed corpus.")
+    parser.add_argument("--each", action="store_true", help="first print one line per report")
+    print(digest_line(print if parser.parse_args().each else None))
 
 
 if __name__ == "__main__":
