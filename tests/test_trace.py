@@ -246,13 +246,11 @@ def test_the_table_matches_the_search_at_the_gates_edge():
 
 
 def test_a_value_not_held_is_refused_and_memoises_nothing():
-    # On a fresh copy of an instance the table serves, T_6 is not held, so
-    # a budget below C(12, 6) = 924 still refuses it, before the table
-    # fills, in both modes.
-    H = build_hypergraph(12, [{0, 1}, {2, 3, 4}, {5, 11}])
-    trace_function_exact(H, 2)
-    assert (6, False) in H.trace_memo and (6, True) in H.trace_memo
-    refused = Hypergraph(H.vertices, H.edges)
+    # A fresh hypergraph that the table serves holds no T_6, so a budget
+    # below C(12, 6) = 924 still refuses it in both modes, before the table
+    # fills.
+    refused = build_hypergraph(12, [{0, 1}, {2, 3, 4}, {5, 11}])
+    assert trace._table_fits(refused)
     for include_empty in (False, True):
         with pytest.raises(BudgetExceededError):
             trace_function_exact(refused, 6, include_empty, subset_budget=923)
