@@ -23,7 +23,7 @@ from .degeneracy import reduced_degeneracy
 from .errors import NotATreeError
 from .graphs import Graph, find_twins, neighborhood_hypergraph, tree_stats
 from .trace import J_MAX, SUBSET_BUDGET_DEFAULT, trace_value
-from .transversal import BoundEntry, bootstrap_entries, separating_set, transversal_bound
+from .transversal import BoundEntry, bootstrap_entries, separating_set, transversal_bound, transversal_fault
 
 KINDS = ("LD", "ID", "OLD")
 
@@ -43,16 +43,15 @@ class DominationReport:
 
 def _feasibility(G: Graph, kind: str) -> tuple[bool, str | None, tuple[int, int] | None]:
     # ID and OLD are DT on a side, undefined where the side has an empty
-    # edge (an isolated vertex, open side only) or duplicate edges (twins).
-    # Two isolated vertices are also open twins, so the empty edge comes first.
-    if kind == "LD":
-        return True, None, None
+    # edge (an isolated vertex, open side only) or duplicate edges (twins),
+    # named in ``transversal_fault``'s order.  LD is always feasible.
     closed = kind == "ID"
     H = neighborhood_hypergraph(G, closed)
-    if not closed and not all(H.edges):
+    fault = None if kind == "LD" else transversal_fault(H)
+    if fault == "empty edge":
         v = H.edges.index(frozenset())
         return False, "isolated vertex has an empty open neighborhood", (v, v)
-    if H.has_duplicate_edges:
+    if fault:
         side = "closed" if closed else "open"
         return False, f"{side} twins cannot be told apart", find_twins(G, closed)[0]
     return True, None, None

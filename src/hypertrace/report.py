@@ -40,7 +40,7 @@ from .trace import (
     trace_count_lower_bound,
     trace_function_exact,
 )
-from .transversal import BoundEntry, dt_exact, dt_lower_bounds
+from .transversal import BoundEntry, dt_exact, dt_lower_bounds, transversal_fault
 from .vc import is_shattered, vc_exact
 
 ALL_ANALYSES = ("degeneracy", "trace", "vc", "dt", "domination", "tree")
@@ -300,15 +300,12 @@ def _analyze(instance, r: AnalysisReport, budgets: Budgets, analyses) -> None:
 
     dts = {}
     if "dt" in analyses:
-        twins, isolated = (" (twins)", " (isolated vertex)") if graph else ("", "")
+        glosses = {"empty edge": " (isolated vertex)", "duplicate edges": " (twins)"} if graph else {}
         block = {}
         for side, h in sides.items():
-            # Two empty edges are duplicates too, so the empty edge comes first.
-            if any(not e for e in h.edges):
-                block[side] = {"undefined": "empty edge" + isolated}
-                continue
-            if not h.is_simple:
-                block[side] = {"undefined": "duplicate edges" + twins}
+            fault = transversal_fault(h)
+            if fault:
+                block[side] = {"undefined": fault + glosses.get(fault, "")}
                 continue
             name = named("dt", side)
             bounds = r.stage(f"{name}-bounds", lambda h=h: dt_lower_bounds(h))

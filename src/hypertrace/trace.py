@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import cache
+from itertools import combinations
 from math import comb
 from operator import eq
 
@@ -96,8 +98,8 @@ def _table_fits(H: Hypergraph) -> bool:
     edges, whatever k is asked: about 70-120 ms at n = 18, m = 256.  On
     n = 17-18 with up to 256 edges a report took 50-130 ms on it, against
     0.5-4.5 s on the searches.  The separating search's subset lattice
-    (``transversal._failing_sets``) reads the same gate but costs less:
-    one down-closure over its m + C(m, 2) seeds, not one per edge."""
+    (``first_separating_set``) reads the same gate but costs less: one
+    down-closure over its m + C(m, 2) seeds, not one per edge."""
     n = H.n
     m = len(H.distinct_edges)
     return (
@@ -116,7 +118,7 @@ def trace_table(H: Hypergraph) -> dict[tuple[int, bool], tuple[int, tuple[int, .
     p, and a bitmap over the indices is one int of ``2^n`` bits.  Between
     two sets of one size, the first in lexicographic order holds the least
     position they differ in, the higher index bit, so the search's tie rule
-    picks the highest index of the size class.
+    picks the highest index of the size class (``_first``).
     Two edges leave S one trace iff S misses their symmetric difference,
     that is, S is a subset of its complement, and an edge leaves S the
     empty trace iff S is a subset of the edge's complement.  So with the
@@ -129,14 +131,15 @@ def trace_table(H: Hypergraph) -> dict[tuple[int, bool], tuple[int, tuple[int, .
     ones.  For each size k the least count, and the highest index with it,
     are read off the counter's planes from the top down.
     The index map, the per-position bitmaps, the down-closure and the size
-    classes are the module's lattice helpers (``lattice_index``,
-    ``missing_bitmaps``, ``down``, ``size_classes``), which the separating
-    search's lattice (``transversal._failing_sets``) shares.
+    classes are the module's private lattice helpers, which the separating
+    search's lattice (``first_separating_set``) shares.  The per-position
+    bitmaps and the size classes depend only on n and are built once per
+    n; the gate keeps n <= 18, so at most 19 of each are held, about
+    2.4 MB if every n occurs.
     """
     n = H.n
     whole = (1 << n) - 1  # the index of the whole position set
     every = (1 << (1 << n)) - 1  # the bitmap of every subset
-    missing = missing_bitmaps(n)
     planes: list[int] = []
 
     def add(bitmap: int) -> None:
@@ -148,18 +151,17 @@ def trace_table(H: Hypergraph) -> dict[tuple[int, bool], tuple[int, tuple[int, .
         if bitmap:
             planes.append(bitmap)
 
-    edges = [lattice_index(e, n) for e in H.distinct_masks]
+    edges = [_lattice_index(e, n) for e in H.distinct_masks]
     for i in range(1, len(edges)):
-        add(down([whole ^ edges[i] ^ f for f in edges[:i]], missing))
+        add(_down([whole ^ edges[i] ^ f for f in edges[:i]], n))
     with_empty = list(planes)
-    add(down([whole ^ e for e in edges], missing))
-    classes = size_classes(n)
+    add(_down([whole ^ e for e in edges], n))
     verts = H.vertex_list
     table = {}
     for include_empty, counter in ((True, with_empty), (False, planes)):
         # clear[b]: the subsets whose count has bit b clear.
         clear = [every ^ plane for plane in counter]
-        for k, cands in enumerate(classes):
+        for k, cands in enumerate(_size_classes(n)):
             least = 0
             for b in reversed(range(len(clear))):
                 fewer = cands & clear[b]
@@ -167,19 +169,52 @@ def trace_table(H: Hypergraph) -> dict[tuple[int, bool], tuple[int, tuple[int, .
                     cands = fewer
                 else:
                     least |= 1 << b
-            witness = tuple(verts[p] for p in bits(lattice_index(cands.bit_length() - 1, n)))
+            witness = tuple(verts[p] for p in bits(_first(cands, n)))
             table[(k, include_empty)] = (len(edges) - least, witness)
     return table
 
 
-def lattice_index(mask: int, n: int) -> int:
+def first_separating_set(rows: Sequence[int], n: int, selected_exempt: bool) -> int:
+    """The mask of the first set of positions ``0..n-1`` that separates
+    ``rows`` as ``transversal.separating_set`` asks, read off the subset
+    lattice: the highest index of the least size class that has a set
+    outside the down-closure of the failing sets.  The full position set
+    must separate.
+
+    With ``r_x`` the index of row x and ``pt(x)`` the index bit of
+    position x (0 for x >= n, or without ``selected_exempt``), S fails iff
+    some row that S does not exempt gets the empty label, S inside
+    ``whole ^ (r_x | pt(x))``, or two such rows get one label, S inside
+    ``whole ^ (r_x ^ r_y | pt(x) | pt(y))``.  So the failing sets are one
+    down-closure of those indices, over m + C(m, 2) seeds for m rows.
+    """
+    whole = (1 << n) - 1
+    labels = [
+        (_lattice_index(row, n), 1 << (n - 1 - x) if selected_exempt and x < n else 0)
+        for x, row in enumerate(rows)
+    ]
+    seeds = [whole ^ (r | pt) for r, pt in labels]
+    seeds += [whole ^ (r ^ q | pt | qt) for (r, pt), (q, qt) in combinations(labels, 2)]
+    good = ~_down(seeds, n)
+    return next(_first(sets & good, n) for sets in _size_classes(n) if sets & good)
+
+
+def _first(bitmap: int, n: int) -> int:
+    """The mask of the lexicographically first set in a nonzero bitmap of
+    one size class: the first holds the least position two sets of one
+    size differ in, so it has the highest index."""
+    return _lattice_index(bitmap.bit_length() - 1, n)
+
+
+def _lattice_index(mask: int, n: int) -> int:
     """The index of the subset of positions ``0..n-1`` with this mask, and
     back: position p is index bit ``n-1-p``, so the map reverses the low n
     bits and is its own inverse."""
     return int(f"{mask:0{n}b}"[::-1], 2)
 
 
-def missing_bitmaps(n: int) -> list[tuple[int, int]]:
+@cache
+def _missing_bitmaps(n: int) -> tuple[tuple[int, int], ...]:
     """Per position p of ``0..n-1``, its index bit and the bitmap of the
     subsets that miss it."""
     size = 1 << n
@@ -192,29 +227,30 @@ def missing_bitmaps(n: int) -> list[tuple[int, int]]:
             bitmap |= bitmap << width
             width <<= 1
         missing.append((run, bitmap))
-    return missing
+    return tuple(missing)
 
 
-def down(indices: Iterable[int], missing: list[tuple[int, int]]) -> int:
-    """The bitmap of every subset of the sets with these indices, with
-    ``missing`` from ``missing_bitmaps``: a set that holds p passes each
-    of its subsets without p down to it, one shift-and-or per position."""
-    buf = bytearray(((1 << len(missing)) + 7) >> 3)
+def _down(indices: Iterable[int], n: int) -> int:
+    """The bitmap of every subset of the sets of positions ``0..n-1`` with
+    these indices: a set that holds p passes each of its subsets without p
+    down to it, one shift-and-or per position (``_missing_bitmaps``)."""
+    buf = bytearray(((1 << n) + 7) >> 3)
     for x in indices:
         buf[x >> 3] |= 1 << (x & 7)
     bitmap = int.from_bytes(buf, "little")
-    for run, missed in missing:
+    for run, missed in _missing_bitmaps(n):
         bitmap |= bitmap >> run & missed
     return bitmap
 
 
-def size_classes(n: int) -> list[int]:
+@cache
+def _size_classes(n: int) -> tuple[int, ...]:
     """Per size k of ``0..n``, the bitmap of the indices with k bits set,
     built one index bit at a time."""
     classes = [1]
     for b in range(n):
         classes = [c | d << (1 << b) for c, d in zip([*classes, 0], [0, *classes])]
-    return classes
+    return tuple(classes)
 
 
 def _search_exact(H: Hypergraph, k: int, include_empty: bool) -> tuple[int, tuple[int, ...]]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import ceil, comb
 
 from .degeneracy import reduced_degeneracy
@@ -22,11 +21,8 @@ from .trace import (
     J_MAX,
     SUBSET_BUDGET_DEFAULT,
     _table_fits,
-    down,
-    lattice_index,
-    missing_bitmaps,
+    first_separating_set,
     reaches,
-    size_classes,
     trace_value,
     walk,
 )
@@ -61,6 +57,21 @@ def _require_simple(H: Hypergraph) -> None:
         raise MultiEdgeError("duplicate edges can never be distinguished; quantity undefined")
 
 
+def transversal_fault(H: Hypergraph) -> str | None:
+    """Why ``H`` has no distinguishing transversal: "empty edge",
+    "duplicate edges", or None when it has one.  Two empty edges are
+    duplicates too, so the empty edge is named first."""
+    if not all(H.edges):
+        return "empty edge"
+    return "duplicate edges" if H.has_duplicate_edges else None
+
+
+def _require_transversal(H: Hypergraph) -> None:
+    if transversal_fault(H) == "empty edge":
+        raise ValueError("an empty edge admits no transversal")
+    _require_simple(H)
+
+
 def _separates(rows: Sequence[int], smask: int, selected_exempt: bool) -> bool:
     seen: set[int] = set()
     for x, row in enumerate(rows):
@@ -88,11 +99,11 @@ def separating_set(
     one path: each candidate set, whatever its source, passes one rank
     test against the budget.  On a hypergraph within the trace table's
     gate (``trace._table_fits``), one down-closure on the table's subset
-    lattice (``_failing_sets``) gives the first separating set and no set
-    is tested.  Above it, within a size, the candidates are the sets
-    ``walk`` yields in lexicographic order, each tested, and the walk's
-    cut skips a prefix when ``reaches`` finds that no completion gives the
-    rows ``len(rows)`` distinct nonempty labels.
+    lattice (``trace.first_separating_set``) gives the first separating
+    set and no set is tested.  Above it, within a size, the candidates
+    are the sets ``walk`` yields in lexicographic order, each tested, and
+    the walk's cut skips a prefix when ``reaches`` finds that no
+    completion gives the rows ``len(rows)`` distinct nonempty labels.
     With ``selected_exempt`` only the rows that can no longer be selected
     (positions up to the last pick, outside the picks) are asked about.
     The cut is sound, so the witness is still the first minimum set.
@@ -124,9 +135,11 @@ def separating_set(
         return witness
     if budget <= count:
         raise BudgetExceededError(f"{search} search budget exceeded", budget=budget)
-    # A snapshot: another thread may add to the trace memo meanwhile.
+    # A snapshot: another thread may add to the trace memo meanwhile.  Only
+    # the witness of a T_k equal to the edge count is read, and not for LD.
     entries = tuple(H.trace_memo.items())
-    traces = {k: (t, H.mask(w)) for (k, empty), (t, w) in entries if not empty}
+    full = None if selected_exempt else len(H.edge_masks)
+    traces = {k: (t, H.mask(w) if t == full else None) for (k, empty), (t, w) in entries if not empty}
     try:
         witness, rank = _search(
             H.edge_masks, H.n, budget, search, selected_exempt, traces, _table_fits(H)
@@ -144,7 +157,7 @@ def _search(
     budget: int,
     search: str,
     selected_exempt: bool,
-    traces: dict[int, tuple[int, int]],
+    traces: dict[int, tuple[int, int | None]],
     lattice: bool,
 ) -> tuple[tuple[int, ...], int]:
     """The separating set and its rank in the size-ascending enumeration:
@@ -152,7 +165,8 @@ def _search(
     within its size, plus 1.  ``lattice`` picks the engine for the sizes
     the memo does not answer: the subset lattice or the walker.
 
-    ``traces`` maps k to a memoised nonempty ``T_k`` and its witness mask.
+    ``traces`` maps k to a memoised nonempty ``T_k`` and its witness mask,
+    or None where ``found`` does not read it.
     ``T_k`` never falls as k grows while the labels needed never rise, so
     every size up to the last k with ``T_k`` below them fails: the search
     starts after it, and ``done`` counts the skipped sizes' sets in full.
@@ -160,14 +174,13 @@ def _search(
     ``found`` maps a size to a separating set found without a walk.
     Without exempt rows, each ``T_k`` that is ``len(rows)`` gives its
     memoised witness, the first k-set that separates.  The lattice gives
-    the first set outside ``_failing_sets``, the highest index of the
-    least size class that has one.  That size is the least that
-    separates, so it is at least ``start``, and if a memo hit has it too,
-    the two sets are one.  The lattice is built only when the budget
-    outlasts the skipped sizes and ``start`` is no memo hit, so a budget
-    the skipped sizes use up raises before any bitmap is built.  Off the
-    lattice, a size with no found set walks, and each set the walker
-    yields is tested.
+    ``first_separating_set``, whose size is the least that separates, so
+    it is at least ``start``, and if a memo hit has it too, the two sets
+    are one.  The lattice is built only when the budget outlasts the
+    skipped sizes and ``start`` is no memo hit, so a budget the skipped
+    sizes use up raises before any bitmap is built.  Off the lattice, a
+    size with no found set walks, and each set the walker yields is
+    tested.
 
     Every candidate, found or walked, passes one rank test: a set ranked
     below ``room``, the budget left at its size, returns at ``done + rank
@@ -207,12 +220,8 @@ def _search(
     done = sum(comb(n, s) for s in range(floor, start))
     found = {} if selected_exempt else {k: w for k, (t, w) in traces.items() if t == len(rows)}
     if lattice and done < budget and start not in found:
-        good = ~_failing_sets(rows, n, selected_exempt)
-        for size, sets in enumerate(size_classes(n)):
-            if sets & good:
-                # The highest index of the size class is its first set.
-                found[size] = lattice_index((sets & good).bit_length() - 1, n)
-                break
+        first = first_separating_set(rows, n, selected_exempt)
+        found[first.bit_count()] = first
     for size in range(start, n + 1):
         room = budget - done
         total = comb(n, size)
@@ -229,27 +238,6 @@ def _search(
             raise BudgetExceededError(f"{search} search budget exceeded", budget=budget)
         done += total
     raise AssertionError("the full position set must separate every row")
-
-
-def _failing_sets(rows: Sequence[int], n: int, selected_exempt: bool) -> int:
-    """The bitmap, over ``trace.lattice_index`` indices, of the sets of
-    positions ``0..n-1`` that do not separate ``rows``.
-
-    With ``r_x`` the index of row x and ``pt(x)`` the index bit of
-    position x (0 for x >= n, or without ``selected_exempt``), S fails iff
-    some row that S does not exempt gets the empty label, S inside
-    ``whole ^ (r_x | pt(x))``, or two such rows get one label, S inside
-    ``whole ^ (r_x ^ r_y | pt(x) | pt(y))``.  So the failing sets are one
-    down-closure of those indices.
-    """
-    whole = (1 << n) - 1
-    labels = [
-        (lattice_index(row, n), 1 << (n - 1 - x) if selected_exempt and x < n else 0)
-        for x, row in enumerate(rows)
-    ]
-    seeds = [whole ^ (r | pt) for r, pt in labels]
-    seeds += [whole ^ (r ^ q | pt | qt) for (r, pt), (q, qt) in combinations(labels, 2)]
-    return down(seeds, missing_bitmaps(n))
 
 
 def _rank(n: int, smask: int) -> int:
@@ -284,9 +272,7 @@ def dt_exact(H: Hypergraph, subset_budget: int = SUBSET_BUDGET_DEFAULT) -> DtRes
     neighborhood hypergraph) is answered without searching again.  ``subset_budget`` bounds the
     witness's rank in the plain size-ascending order of candidate sets.
     """
-    if any(not e for e in H.edges):
-        raise ValueError("an empty edge admits no transversal")
-    _require_simple(H)
+    _require_transversal(H)
     if H.m == 0:
         return DtResult(0, ())
     combo = separating_set(H, subset_budget, "transversal")
@@ -324,9 +310,7 @@ def transversal_bound(count: int, t_j: int, delta: int, j: int) -> Fraction:
 def dt_lower_bounds(H: Hypergraph, j_max: int = J_MAX) -> list[BoundEntry]:
     """Certified lower bounds on the distinguishing transversal number,
     with j bootstrapped by ``bootstrap_entries``."""
-    if any(not e for e in H.edges):
-        raise ValueError("an empty edge admits no transversal")
-    _require_simple(H)
+    _require_transversal(H)
     m = H.m
     if m == 0:
         return [BoundEntry("dt", 0, Fraction(0), "exact-T", 0)]

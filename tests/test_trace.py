@@ -232,6 +232,19 @@ def test_instances_just_outside_the_gate_run_the_search(monkeypatch):
         assert got == trace._search_exact(fresh, 3, False)
 
 
+def test_a_report_builds_each_lattice_helper_once_per_n():
+    # The per-position bitmaps and the size classes depend only on n.  A
+    # full report on a 16-vertex graph reads them for the two sides' trace
+    # tables and for LD's first separating set, and builds each once.
+    helpers = (trace._missing_bitmaps, trace._size_classes)
+    for helper in helpers:
+        helper.cache_clear()
+    run_report(random_gnp(16, 0.3, seed=1))
+    for helper in helpers:
+        info = helper.cache_info()
+        assert info.hits >= 2 and (info.misses, info.currsize) == (1, 1), helper
+
+
 def test_the_table_matches_the_search_at_the_gates_edge():
     # 18 vertices with 114 half-density and 256 small edges, inside the
     # gate but too large for the brute-force oracle, so the search on a

@@ -329,7 +329,7 @@ def test_engines_agree_at_the_gates_edge(monkeypatch):
 def test_an_instance_just_outside_the_gate_walks(monkeypatch):
     """LD on 19 vertices, one above the trace table's gate, runs the walker;
     the subset lattice, asked anyway, gives the same witness and rank."""
-    lattices = _count_calls(monkeypatch, "_failing_sets")
+    lattices = _count_calls(monkeypatch, "first_separating_set")
     walks = _count_calls(monkeypatch, "walk")
     G = random_gnp(19, 0.3, seed=1)
     H = neighborhood_hypergraph(G, closed=False)
@@ -345,7 +345,7 @@ def test_a_budget_the_memo_floor_exhausts_builds_no_bitmap(monkeypatch):
     start LD at size 6, past C(14, 4) + C(14, 5) = 3,003 sets, so LD raises
     before the subset lattice builds a bitmap.  A budget past that floor
     builds it once."""
-    lattices = _count_calls(monkeypatch, "_failing_sets")
+    lattices = _count_calls(monkeypatch, "first_separating_set")
     G = random_tree(14, seed=2)
     report = run_report(G, budgets=Budgets(subset_budget=1000))
     skipped = {s["stage"]: s["detail"] for s in report.skipped}
@@ -353,6 +353,25 @@ def test_a_budget_the_memo_floor_exhausts_builds_no_bitmap(monkeypatch):
     assert not lattices
     assert gamma_exact(G, "LD", subset_budget=10**7).exact == 7
     assert len(lattices) == 1
+
+
+def test_only_a_usable_trace_witness_becomes_a_mask(monkeypatch):
+    """LD reads no memoised trace witness and DT only those of a T_k equal
+    to the edge count, so the separating search turns no other witness
+    into a mask."""
+    G = random_gnp(16, 0.3, seed=1)
+    sides = [neighborhood_hypergraph(G, closed) for closed in (True, False)]
+    for h in sides:
+        trace_function_exact(h, 2)
+        h.edge_masks  # built before the count
+    masks = []
+    original = Hypergraph.mask
+    monkeypatch.setattr(Hypergraph, "mask", lambda self, subset: masks.append(subset) or original(self, subset))
+    assert gamma_exact(G, "LD").exact == 6 and not masks
+    closed = sides[0]
+    assert dt_exact(closed).value == 6
+    full = [w for (k, empty), (t, w) in closed.trace_memo.items() if not empty and t == closed.m]
+    assert sorted(masks) == sorted(full) and len(full) < closed.n
 
 
 def test_rank_is_the_lexicographic_index():
