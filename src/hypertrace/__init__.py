@@ -2,6 +2,8 @@
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .degeneracy import (
     DegeneracyTriple,
     PeelResult,
@@ -64,4 +66,6 @@ from .transversal import (
 )
 from .vc import VcResult, is_shattered, vc_exact, vc_upper_bound
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The submodules the imports above bind stay out, so that a star-import
+# does not rebind a caller's ``io`` or ``trace``.
+__all__ = sorted(k for k, v in globals().items() if k[0] != "_" and not isinstance(v, _ModuleType))

@@ -66,10 +66,11 @@ def _load_instance(path: Path, allow_multi: bool):
 
 
 def _emit(payload: str, out: Path | None):
+    """Write ``payload``, ending in one newline, to stdout or to ``out``."""
+    if not payload.endswith("\n"):
+        payload += "\n"
     if out is None:
         sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         out.write_text(payload)
 

@@ -154,10 +154,10 @@ class Hypergraph:
         return []
 
     @cached_property
-    def separating_memo(self) -> dict[bool, tuple[tuple[int, ...] | None, int]]:
+    def separating_memo(self) -> dict[bool, tuple[int, ...] | int]:
         """``separating_set`` outcomes keyed by ``selected_exempt``: the
-        witness positions and their rank once found, served at any budget,
-        else ``None`` and the largest budget the search exceeded."""
+        witness positions once found (a tuple), served at any budget, else
+        the largest budget the search refused (an int)."""
         return {}
 
     def normalize_subset(self, subset: Iterable[int]) -> frozenset[int]:

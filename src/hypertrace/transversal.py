@@ -108,89 +108,77 @@ def separating_set(
     (positions up to the last pick, outside the picks) are asked about.
     The cut is sound, so the witness is still the first minimum set.
 
-    The search also reads the nonempty ``T_k`` memoised in ``H.trace_memo``
-    (a snapshot of it), since a k-set gives at most ``T_k`` rows distinct
-    nonempty labels.  It starts past every size whose ``T_k`` is below the
-    labels needed, and without ``selected_exempt`` a memoised ``T_k`` equal
-    to ``len(rows)`` at the size reached is the answer: its witness is the
-    first k-set that carries that many traces, so DT(H) is the least k
-    with ``T_k = |E|``; that witness is a candidate like any other.
-    Neither changes the witness or its rank.  On a hypergraph within the
-    trace table's gate, the first ``T_k`` asked for (of size 2 up to
-    n - 1) memoises every ``T_k``, so once a report's bounds have asked
-    for one, DT, ID and OLD there are memo hits.
+    ``_search`` also reads the nonempty ``T_k`` memoised in
+    ``H.trace_memo`` (a snapshot of it), since a k-set gives at most
+    ``T_k`` rows distinct nonempty labels.  It starts past every size
+    whose ``T_k`` is below the labels needed, and without
+    ``selected_exempt`` the least memoised k with ``T_k`` equal to
+    ``len(rows)`` is the answer: its witness is the first k-set that
+    carries that many traces, so DT(H) is the least k with ``T_k = |E|``;
+    that witness is a candidate like any other.  Neither changes the
+    witness or the budget outcome.  On a hypergraph within the trace
+    table's gate, the first ``T_k`` asked for (of size 2 up to n - 1)
+    memoises every ``T_k``, so once a report's bounds have asked for one,
+    DT, ID and OLD there are memo hits.
 
     The budget bounds one number, the witness's rank in the plain
     size-ascending enumeration of every candidate: the search raises
     "<search> search budget exceeded" iff that rank exceeds ``budget``,
-    whatever its cut skipped.  Callers must ensure the full position set
-    qualifies.  The outcome is kept in ``H.separating_memo``, and the
-    budget is charged only for a search the call would start: a found
-    witness is served at any budget, and a budget no larger than one
-    already exceeded raises without searching again.
+    whatever its cut skipped.  The rank is only tested, never returned.
+    Callers must ensure the full position set qualifies.  The outcome is
+    kept in ``H.separating_memo``, either the witness or the largest
+    budget refused, and the budget is charged only for a search the call
+    would start: a found witness is served at any budget, and a budget no
+    larger than one already refused raises without searching again.
     """
-    memo = H.separating_memo
-    witness, count = memo.get(selected_exempt, (None, -1))
-    if witness is not None:
-        return witness
-    if budget <= count:
+    held = H.separating_memo.get(selected_exempt, -1)
+    if isinstance(held, tuple):
+        return held
+    if budget <= held:
         raise BudgetExceededError(f"{search} search budget exceeded", budget=budget)
-    # A snapshot: another thread may add to the trace memo meanwhile.  Only
-    # the witness of a T_k equal to the edge count is read, and not for LD.
-    entries = tuple(H.trace_memo.items())
-    full = None if selected_exempt else len(H.edge_masks)
-    traces = {k: (t, H.mask(w) if t == full else None) for (k, empty), (t, w) in entries if not empty}
     try:
-        witness, rank = _search(
-            H.edge_masks, H.n, budget, search, selected_exempt, traces, _table_fits(H)
-        )
+        witness = _search(H, budget, search, selected_exempt)
     except BudgetExceededError:
-        memo[selected_exempt] = (None, budget)
+        H.separating_memo[selected_exempt] = budget
         raise
-    memo[selected_exempt] = (witness, rank)
+    H.separating_memo[selected_exempt] = witness
     return witness
 
 
-def _search(
-    rows: Sequence[int],
-    n: int,
-    budget: int,
-    search: str,
-    selected_exempt: bool,
-    traces: dict[int, tuple[int, int | None]],
-    lattice: bool,
-) -> tuple[tuple[int, ...], int]:
-    """The separating set and its rank in the size-ascending enumeration:
-    ``done``, the sets of the sizes before its own, plus its ``_rank``
-    within its size, plus 1.  ``lattice`` picks the engine for the sizes
-    the memo does not answer: the subset lattice or the walker.
+def _search(H: Hypergraph, budget: int, search: str, selected_exempt: bool) -> tuple[int, ...]:
+    """The positions of the separating set of ``H``'s rows (edge masks).
+    Its rank in the size-ascending enumeration is ``done``, the sets of
+    the sizes before its own, plus its ``_rank`` within its size, plus 1.
+    The trace table's gate (``_table_fits``) picks the engine for the
+    sizes the memo does not answer: the subset lattice or the walker.
 
-    ``traces`` maps k to a memoised nonempty ``T_k`` and its witness mask,
-    or None where ``found`` does not read it.
+    ``traces`` is a snapshot of the nonempty ``T_k`` memoised in
+    ``H.trace_memo``, since another thread may add to it meanwhile.
     ``T_k`` never falls as k grows while the labels needed never rise, so
     every size up to the last k with ``T_k`` below them fails: the search
     starts after it, and ``done`` counts the skipped sizes' sets in full.
 
     ``found`` maps a size to a separating set found without a walk.
-    Without exempt rows, each ``T_k`` that is ``len(rows)`` gives its
-    memoised witness, the first k-set that separates.  The lattice gives
-    ``first_separating_set``, whose size is the least that separates, so
-    it is at least ``start``, and if a memo hit has it too, the two sets
-    are one.  The lattice is built only when the budget outlasts the
-    skipped sizes and ``start`` is no memo hit, so a budget the skipped
-    sizes use up raises before any bitmap is built.  Off the lattice, a
-    size with no found set walks, and each set the walker yields is
-    tested.
+    Without exempt rows, the least k with ``T_k = len(rows)`` gives its
+    memoised witness, the first k-set that separates, and only that
+    witness becomes a mask: it is at least ``start``, and the search ends
+    at its size.  The lattice gives ``first_separating_set``, whose size
+    is the least that separates, so it is at least ``start``, and if a
+    memo hit has it too, the two sets are one.  The lattice is built only
+    when the budget outlasts the skipped sizes and ``start`` is no memo
+    hit, so a budget the skipped sizes use up raises before any bitmap is
+    built.  Off the lattice, a size with no found set walks, and each set
+    the walker yields is tested.
 
     Every candidate, found or walked, passes one rank test: a set ranked
-    below ``room``, the budget left at its size, returns at ``done + rank
-    + 1`` if it separates, and the first ranked past it ends the size
-    untested.  So a witness the trace memo gives still counts against the
-    budget, as this is the search the call starts; only a separating set
-    already found (``H.separating_memo``) is served at any budget, by
-    ``separating_set`` before it calls ``_search``.  The test ranks a set
-    only in the size where the budget ends (``room < C(n, size)``), since
-    before it every rank is within ``room``.
+    below ``room``, the budget left at its size, returns if it separates,
+    and the first ranked past it ends the size untested.  So a witness the
+    trace memo gives still counts against the budget, as this is the
+    search the call starts; only a separating set already found
+    (``H.separating_memo``) is served at any budget, by ``separating_set``
+    before it calls ``_search``.  The test ranks a set only in the size
+    where the budget ends (``room < C(n, size)``), since before it every
+    rank is within ``room``.
     Only that rank is budgeted, so the cut needs no accounting: every set
     before it, cut or tested, fails to separate, so that size raises.  In
     that size ``keep`` also closes the node of a prefix whose first
@@ -200,6 +188,7 @@ def _search(
     rows too, since a later sibling has a smaller reach and more needy
     rows.
     """
+    rows, n = H.edge_masks, H.n
 
     def keep(prefix: int, reach: int, p: int, left: int) -> bool | None:
         if room < total and _rank(n, prefix | ((1 << left) - 1) << (p + 1)) >= room:
@@ -215,10 +204,13 @@ def _search(
         # The labels a k-set must give: one per row it may not exempt.
         return len(rows) - (k if selected_exempt else 0)
 
+    traces = {k: tw for (k, empty), tw in tuple(H.trace_memo.items()) if not empty}
     floor = next(s for s in range(n + 1) if (1 << s) - 1 >= needed(s))
     start = max([floor, *(k + 1 for k, (t, _) in traces.items() if t < needed(k))])
     done = sum(comb(n, s) for s in range(floor, start))
-    found = {} if selected_exempt else {k: w for k, (t, w) in traces.items() if t == len(rows)}
+    hits = [] if selected_exempt else sorted(k for k, (t, _) in traces.items() if t == len(rows))
+    found = {k: H.mask(traces[k][1]) for k in hits[:1]}
+    lattice = _table_fits(H)
     if lattice and done < budget and start not in found:
         first = first_separating_set(rows, n, selected_exempt)
         found[first.bit_count()] = first
@@ -233,7 +225,7 @@ def _search(
             if room < total and _rank(n, smask) >= room:
                 break
             if size in found or _separates(rows, smask, selected_exempt):
-                return tuple(bits(smask)), done + _rank(n, smask) + 1
+                return tuple(bits(smask))
         if room < total:
             raise BudgetExceededError(f"{search} search budget exceeded", budget=budget)
         done += total

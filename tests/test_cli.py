@@ -89,6 +89,18 @@ def test_gen_roundtrip(capsys, tmp_path):
     assert code == 0
 
 
+def test_out_file_matches_stdout(capsys, tmp_path):
+    """``--out`` writes the text stdout gets, final newline included."""
+    report = tmp_path / "r.json"
+    assert run_cli(capsys, "analyze", str(FIXTURE), "--out", str(report))[0] == 0
+    assert report.read_text().endswith("}\n")
+    json.loads(report.read_text())
+    summary = tmp_path / "r.txt"
+    assert run_cli(capsys, "analyze", str(FIXTURE), "--text", "--out", str(summary))[0] == 0
+    code, out, _ = run_cli(capsys, "analyze", str(FIXTURE), "--text")
+    assert code == 0 and summary.read_text() == out
+
+
 def test_gen_hypergraph(capsys):
     code, out, _ = run_cli(capsys, "gen", "hypergraph", "--n", "5", "--m", "4",
                            "--max-edge-size", "3", "--seed", "2")

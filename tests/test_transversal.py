@@ -277,15 +277,15 @@ def _lattice_cases(rng):
             yield rows, n, exempt
 
 
-def _engine_outcome(rows, n, budget, exempt, lattice):
+def _engine_outcome(H, budget, exempt):
     try:
-        return transversal._search(rows, n, budget, "lattice", exempt, {}, lattice)
+        return transversal._search(H, budget, "lattice", exempt)
     except BudgetExceededError as exc:
         assert str(exc) == "lattice search budget exceeded" and exc.budget == budget
         return "raise"
 
 
-def test_lattice_matches_the_walker_and_the_oracle():
+def test_lattice_matches_the_walker_and_the_oracle(monkeypatch):
     """The subset lattice and the walker return the plain enumeration's
     witness at its rank at budget rank and raise at rank - 1, on LD rows of
     graphs (edgeless, with isolated vertices, with open twins) and on rows
@@ -303,9 +303,11 @@ def test_lattice_matches_the_walker_and_the_oracle():
             shapes |= {"edgeless" if n and not any(rows) else "", "isolated" if 0 in rows else ""}
             shapes.add("twins" if len(set(rows)) < n else "")
         rank = _plain_rank(n, rows, want, exempt)
+        H = build_hypergraph(n, map(bits, rows), allow_multi=True)
         for lattice in (True, False):
-            assert _engine_outcome(rows, n, rank - 1, exempt, lattice) == "raise", (rows, n, exempt, lattice)
-            assert _engine_outcome(rows, n, rank, exempt, lattice) == (want, rank), (rows, n, exempt, lattice)
+            monkeypatch.setattr(transversal, "_table_fits", lambda H: lattice)
+            assert _engine_outcome(H, rank - 1, exempt) == "raise", (rows, n, exempt, lattice)
+            assert _engine_outcome(H, rank, exempt) == want, (rows, n, exempt, lattice)
         checked += 1
     assert checked > 400 and {"edgeless", "isolated", "twins", "more rows", "fewer rows"} <= shapes
 
@@ -317,13 +319,15 @@ def test_engines_agree_at_the_gates_edge(monkeypatch):
     The brute-force oracle is too slow here."""
     for H in (distinct_edges_hypergraph(18, 114, half_density=True), distinct_edges_hypergraph(18, 256)):
         assert trace._table_fits(H)
-        witness, rank = transversal._search(H.edge_masks, H.n, 10**9, "parity", False, {}, True)
+        monkeypatch.setattr(transversal, "_table_fits", trace._table_fits)
+        witness = transversal._search(H, 10**9, "parity", False)
+        rank = _plain_rank(H.n, H.edge_masks, witness, False)
         for name in _engines(monkeypatch):
             fresh = Hypergraph(H.vertices, H.edges)
             assert _outcome(fresh, rank - 1, False) == "raise", name
             fresh = Hypergraph(H.vertices, H.edges)
             assert _outcome(fresh, rank, False) == witness, name
-            assert fresh.separating_memo[False] == (witness, rank), name
+            assert fresh.separating_memo[False] == witness, name
 
 
 def test_an_instance_just_outside_the_gate_walks(monkeypatch):
@@ -336,8 +340,12 @@ def test_an_instance_just_outside_the_gate_walks(monkeypatch):
     assert not trace._table_fits(H)
     assert gamma_exact(G, "LD").witness == (0, 2, 7, 9, 13, 14)
     assert walks and not lattices
-    witness, rank = H.separating_memo[True]
-    assert transversal._search(H.edge_masks, H.n, rank, "domination", True, {}, True) == (witness, rank)
+    witness = H.separating_memo[True]
+    rank = _plain_rank(H.n, H.edge_masks, witness, True)
+    monkeypatch.setattr(transversal, "_table_fits", lambda H: True)
+    with pytest.raises(BudgetExceededError, match="domination search budget exceeded"):
+        transversal._search(H, rank - 1, "domination", True)
+    assert transversal._search(H, rank, "domination", True) == witness
 
 
 def test_a_budget_the_memo_floor_exhausts_builds_no_bitmap(monkeypatch):
@@ -356,9 +364,9 @@ def test_a_budget_the_memo_floor_exhausts_builds_no_bitmap(monkeypatch):
 
 
 def test_only_a_usable_trace_witness_becomes_a_mask(monkeypatch):
-    """LD reads no memoised trace witness and DT only those of a T_k equal
-    to the edge count, so the separating search turns no other witness
-    into a mask."""
+    """LD reads no memoised trace witness and DT only that of the least k
+    with T_k equal to the edge count, so the separating search turns no
+    other witness into a mask."""
     G = random_gnp(16, 0.3, seed=1)
     sides = [neighborhood_hypergraph(G, closed) for closed in (True, False)]
     for h in sides:
@@ -370,8 +378,8 @@ def test_only_a_usable_trace_witness_becomes_a_mask(monkeypatch):
     assert gamma_exact(G, "LD").exact == 6 and not masks
     closed = sides[0]
     assert dt_exact(closed).value == 6
-    full = [w for (k, empty), (t, w) in closed.trace_memo.items() if not empty and t == closed.m]
-    assert sorted(masks) == sorted(full) and len(full) < closed.n
+    full = [k for (k, empty), (t, _) in closed.trace_memo.items() if not empty and t == closed.m]
+    assert len(full) > 1 and masks == [closed.trace_memo[(min(full), False)][1]]
 
 
 def test_rank_is_the_lexicographic_index():
@@ -511,7 +519,7 @@ def test_separating_set_reads_the_trace_memo(monkeypatch):
                         outcome = _outcome(fresh, budget, exempt)
                         assert outcome == plain[budget], (name, H.edges, exempt, budget, primed)
                         if outcome != "raise":
-                            assert fresh.separating_memo[exempt] == (want, rank)
+                            assert fresh.separating_memo[exempt] == want
                     checked += 1
         assert checked > 1_500 and skipped > 200 and hits > 300, (name, checked, skipped, hits)
 
@@ -648,11 +656,11 @@ def test_skip_is_remembered_per_budget(monkeypatch):
         skipped = {s["stage"]: s["detail"] for s in report.skipped}
         assert skipped["dt-closed"] == "transversal search budget exceeded"
         assert skipped["gamma-ID"] == "domination search budget exceeded"
-        assert [args[2] for args in searches if args[0] is closed.edge_masks] == [1000], name
+        assert [args[1] for args in searches if args[0] is closed] == [1000], name
         with pytest.raises(BudgetExceededError, match="domination search budget exceeded"):
             gamma_exact(G, "ID", subset_budget=999)
         assert gamma_exact(G, "ID", subset_budget=10**7).exact == dt_exact(closed).value
-        assert [args[2] for args in searches if args[0] is closed.edge_masks] == [1000, 10**7], name
+        assert [args[1] for args in searches if args[0] is closed] == [1000, 10**7], name
 
 
 def test_dt_runs_past_a_low_recursion_limit():
