@@ -10,6 +10,11 @@ walks the k-sets with ``trace.walk`` and reads the edges through
 each of its 2^(k-j) traces that hold j given vertices of it is left by its
 own edge, so at least 2^(k-j) distinct edges contain those vertices, and
 the set, itself a trace, lies inside their union.
+Before walking a size d the search reads ``H.trace_memo``: vc(H) is the
+largest d with ``T_d = 2^d``, the empty trace included, so a held ``T_d``
+answers the size, and a held nonempty ``T_d`` below ``2^d - 1`` rules it
+out.  The search never fills the memo itself; a full report has filled it
+before its VC stage, and a standalone call walks.
 """
 
 from __future__ import annotations
@@ -75,7 +80,15 @@ def vc_exact(H: Hypergraph, node_budget: int = SUBSET_BUDGET_DEFAULT) -> VcResul
     than ``2^left`` distinct edges contain and narrows the prefix's
     completions to the union of those edges; neither drops a shattered
     set.  ``_shattered`` tests each set, as ``is_shattered`` does.
-    ``node_budget`` bounds the sets tested.
+    A size the trace memo holds is not walked.  A held ``T_d`` with the
+    empty trace answers it: only a shattered d-set reaches ``2^d``, and the
+    held witness is the lexicographically first d-set that does, the one
+    the walk would return; any smaller value ends the search.  Otherwise
+    a held nonempty ``T_d`` below ``2^d - 1`` ends it, since a shattered
+    d-set carries all ``2^d - 1`` nonempty traces.
+    ``nodes_enumerated`` counts only the sets walked, and ``node_budget``
+    bounds them, so a memo answer is served at any budget.  The memo is
+    read, never filled: a standalone call on a fresh hypergraph walks.
     """
     edges, edge_ids, _ = H.incidence
 
@@ -86,10 +99,20 @@ def vc_exact(H: Hypergraph, node_budget: int = SUBSET_BUDGET_DEFAULT) -> VcResul
         return sum(1 << q for q in set().union(*map(edges.__getitem__, common)) if q > p)
 
     cap = vc_upper_bound(H)
+    memo = H.trace_memo
     dimension = 0
     witness: tuple[int, ...] = ()
     nodes = 0
     for size in range(1, cap + 1):
+        held = memo.get((size, True))
+        if held is not None:
+            if held[0] < 1 << size:
+                break
+            dimension, witness = size, held[1]
+            continue
+        held = memo.get((size, False))
+        if held is not None and held[0] < (1 << size) - 1:
+            break
         for smask in walk(H.n, size, keep):
             nodes += 1
             if nodes > node_budget:

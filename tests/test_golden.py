@@ -25,13 +25,13 @@ CORPUS = {
 }
 
 DIGESTS = {
-    "p4": "b36d49cc00ea0f89cfa5a4c82c5cd6b38e020bd9872c01c0c9ed1b7c1648ae34",
-    "gnp16": "b55d7e2b3606b48eaa0c6af9dd0f2f82ff4e5ed8b0c9d218c3127eeeb14ac78e",
-    "gnp15": "d7185a8b705e8bbc5e40a2fdf493c73689d04defafb105cbe3f23882393d573f",
-    "tree10": "2bfc0cf6f4fbd8986776f6bce356eb5ee99546851d8baab1e1a7709e637b37f1",
-    "tree14": "260e072ca887ea8836d2639785ae70e44729bb444feaa66b8be6caa4516dfc21",
-    "h14": "671d14de041c7d4c71bde46c6585006ae5a5318057c3b36d721ec5b48befe195",
-    "h50": "61518eec0dcd4848e8789d08b5e4408df21168b13bc01631692dff2ab9c6e52f",
+    "p4": "44e9ba51019aedabe84e5f20b0be629bfd666134303ed0fc2f9260d462aa4c8b",
+    "gnp16": "56e0988462d1932d55a6f9bfe2110a46ec79b88a764e688023b63e3aa5cb4012",
+    "gnp15": "d83de281235a6fa835a45956cc62b4113972d3ec27a6473203b1880adcda03a0",
+    "tree10": "bb770f1b21386ab8185d2265e17abd958518bfca230bfd174f97e9c773efeea2",
+    "tree14": "d122d5152a7945f3fe229bf24175480b59dcf3fb4ca44f8e62772bb3df8fbf68",
+    "h14": "e4546bf07678b9e32e91fac66cb624e724b37a98a102a846bad0f9ac0a599fd0",
+    "h50": "18a7b60423cc3eee4333f8e49826a3177758718fd7b79315a1638c71093879a1",
 }
 
 SKIPPED = {

@@ -86,6 +86,18 @@ def test_a_trace_value_the_bounds_hold_is_reported_at_any_budget():
         assert low_k8[key] == full_k8[key] is not None, key
 
 
+def test_vc_is_read_off_the_trace_memo_at_any_budget():
+    # At budget 3 the chain bounds still fill the closed side's trace
+    # table before the VC stage, which reads every size from the memo and
+    # tests no set.  trace-k1 and trace-k2 run before the bounds: skipped.
+    report = run_report(random_gnp(16, 0.3, seed=1), budgets=Budgets(3))
+    vc = report.results["vc"]
+    assert (vc["dimension"], vc["witness"], vc["nodes_enumerated"]) == (
+        {"value": 3, "exactness": "exact"}, [0, 1, 4], 0)
+    stages = [s["stage"] for s in report.skipped]
+    assert "vc" not in stages and {"trace-k1", "trace-k2"} <= set(stages)
+
+
 @pytest.mark.parametrize(
     "instance",
     [

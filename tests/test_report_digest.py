@@ -9,7 +9,7 @@ search across its budget boundary.
 import importlib.util
 from pathlib import Path
 
-DIGEST = "8c2003b399f74d34e0b5960b1c4cfec49f53c33afc1a1ba49f7d9b53f20b23e9  486 reports"
+DIGEST = "39da230cd33bba332cd17050d5a4f1ef20a75ae6a3e900527ca8f3a1ecfe13c6  486 reports"
 
 
 def test_report_digest_is_pinned():

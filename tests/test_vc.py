@@ -13,11 +13,15 @@ from hypertrace import (
     random_gnp,
     random_tree,
     restriction,
+    run_report,
+    trace_function_exact,
     vc_exact,
     vc_upper_bound,
 )
+from hypertrace import trace, vc
 from hypertrace.bench import instance_for_weight
 from hypertrace.errors import BudgetExceededError
+from hypertrace.generate import random_hypergraph
 from oracles import brute_is_shattered, brute_vc, mask_is_shattered
 
 
@@ -26,6 +30,21 @@ def random_hg(rng, max_n=8, max_m=14):
     m = rng.randint(0, max_m)
     edges = [frozenset(rng.sample(range(n), rng.randint(1, n))) for _ in range(m)]
     return build_hypergraph(n, edges, allow_multi=True)
+
+
+def sparse_hg(rng, i):
+    """Vertex ids drawn from range(2n) with duplicate and empty edges, or
+    (every third i) a restriction whose ids are not a dense range."""
+    n = rng.randint(1, 8)
+    if i % 3:
+        ids = rng.sample(range(2 * n), n)
+        m = rng.randint(0, 14)
+        edges = [frozenset(rng.sample(ids, rng.randint(0, n))) for _ in range(m)]
+        edges += rng.sample(edges, min(len(edges), 2)) + [frozenset()] * rng.randint(0, 2)
+        rng.shuffle(edges)
+        return Hypergraph(frozenset(ids), tuple(edges), True)
+    base = random_hg(rng, max_n=10)
+    return restriction(base, rng.sample(range(base.n), rng.randint(1, base.n)))
 
 
 def test_shattering_triangle(tri):
@@ -213,17 +232,7 @@ def test_vc_matches_the_oracle_on_sparse_ids_with_repeated_and_empty_edges():
     rng = random.Random(2024)
     sizes = set()
     for i in range(240):
-        n = rng.randint(1, 8)
-        if i % 3:
-            ids = rng.sample(range(2 * n), n)
-            m = rng.randint(0, 14)
-            edges = [frozenset(rng.sample(ids, rng.randint(0, n))) for _ in range(m)]
-            edges += rng.sample(edges, min(len(edges), 2)) + [frozenset()] * rng.randint(0, 2)
-            rng.shuffle(edges)
-            H = Hypergraph(frozenset(ids), tuple(edges), True)
-        else:
-            base = random_hg(rng, max_n=10)
-            H = restriction(base, rng.sample(range(base.n), rng.randint(1, base.n)))
+        H = sparse_hg(rng, i)
         expected = (0, ())
         for d in range(H.n, 0, -1):
             combos = combinations(sorted(H.vertices), d)
@@ -244,3 +253,68 @@ def test_vc_work_guard_on_the_10k_weight_bench_instance():
     result = vc_exact(instance_for_weight(10_000, seed=0))
     assert (result.dimension, result.witness) == (3, (0, 191, 782))
     assert result.nodes_enumerated <= 1_000, result.nodes_enumerated
+
+
+def test_vc_reads_the_trace_table():
+    # Once the table holds every T_k, each size is answered from the memo:
+    # T_d with the empty trace is 2^d exactly on a shattered d-set, and its
+    # witness is the first one, the walker's.  A standalone call on a fresh
+    # equal hypergraph walks and fills nothing.
+    rng = random.Random(4051)
+    checked = 0
+    sizes = set()
+    for i in range(400):
+        H = sparse_hg(rng, i)
+        if H.n < 3 or not trace._table_fits(H):
+            continue
+        fresh = Hypergraph(H.vertices, H.edges, H.allow_multi)
+        walked = vc_exact(fresh)
+        assert not fresh.trace_memo
+        trace_function_exact(H, 2)
+        result = vc_exact(H)
+        assert result.nodes_enumerated == 0, H.edges
+        assert (result.dimension, result.witness) == (walked.dimension, walked.witness), H.edges
+        assert result.dimension == brute_vc(H)
+        sizes.add(result.dimension)
+        checked += 1
+    assert checked >= 200 and sizes >= {0, 1, 2, 3}, (checked, sizes)
+
+
+def test_vc_reads_held_values_outside_the_gate():
+    # h50 (n = 50) is outside the table's gate.  T_2 with the empty trace
+    # is 4 = 2^2, which answers size 2, and the bounds' nonempty T_3 is
+    # below 2^3 - 1, which rules out size 3: no set is tested.
+    build = lambda: random_hypergraph(50, 66, max_edge_size=6, seed=37)
+    walked = vc_exact(build())
+    assert walked.nodes_enumerated == 118
+    H = build()
+    for k in (1, 2):
+        for include_empty in (False, True):
+            trace_function_exact(H, k, include_empty)
+    trace.trace_value(H, 3)
+    result = vc_exact(H)
+    assert (result.dimension, result.witness, result.nodes_enumerated) == (walked.dimension, walked.witness, 0)
+    # A nonempty T_2 of 2^2 - 1 does not rule out size 2: the walk finds
+    # {0, 1}, which the empty trace of the edge {2} completes.
+    H = build_hypergraph(20, [{0}, {1}, {0, 1}, {2}])
+    assert trace_function_exact(H, 2) == (3, (0, 1)) and (2, True) not in H.trace_memo
+    result = vc_exact(H)
+    assert (result.dimension, result.witness) == (2, (0, 1)) and result.nodes_enumerated
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: random_hypergraph(14, 42, max_edge_size=6, seed=3), lambda: random_gnp(16, 0.3, seed=1)],
+    ids=["h14", "gnp16"],
+)
+def test_a_full_report_walks_no_vc_set(monkeypatch, build):
+    calls = []
+    original = vc.walk
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(vc, "walk", counted)
+    report = run_report(build())
+    assert report.results["vc"]["nodes_enumerated"] == 0 and not calls
