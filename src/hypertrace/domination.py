@@ -75,7 +75,8 @@ def gamma_exact(G: Graph, kind: str, subset_budget: int = SUBSET_BUDGET_DEFAULT)
     OLD with ``dt_exact`` on the open ones, and a budget that a search of
     the same rows already exceeded raises without searching again.
     ``subset_budget`` bounds the witness's rank in the plain
-    size-ascending order of candidate sets.
+    size-ascending order of candidate sets, tested against one boundary
+    set per size, not by ranking each candidate.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")

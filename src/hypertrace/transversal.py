@@ -96,9 +96,9 @@ def separating_set(
     vertex).  With ``selected_exempt`` the row of a selected position
     needs no label, which is how LD differs.  Sizes ascend from the floor
     where s positions can give 2^s - 1 labels, and ``_search`` answers on
-    one path: each candidate set, whatever its source, passes one rank
-    test against the budget.  On a hypergraph within the trace table's
-    gate (``trace._table_fits``), one down-closure on the table's subset
+    one path: each candidate set, whatever its source, passes one budget
+    test.  On a hypergraph within the trace table's gate
+    (``trace._table_fits``), one down-closure on the table's subset
     lattice (``trace.first_separating_set``) gives the first separating
     set and no set is tested.  Above it, within a size, the candidates
     are the sets ``walk`` yields in lexicographic order, each tested, and
@@ -124,7 +124,9 @@ def separating_set(
     The budget bounds one number, the witness's rank in the plain
     size-ascending enumeration of every candidate: the search raises
     "<search> search budget exceeded" iff that rank exceeds ``budget``,
-    whatever its cut skipped.  The rank is only tested, never returned.
+    whatever its cut skipped.  No rank is computed: the size where the
+    budget ends unranks one boundary set, and a candidate is tested
+    against it with one XOR on masks.
     Callers must ensure the full position set qualifies.  The outcome is
     kept in ``H.separating_memo``, either the witness or the largest
     budget refused, and the budget is charged only for a search the call
@@ -147,16 +149,18 @@ def separating_set(
 
 def _search(H: Hypergraph, budget: int, search: str, selected_exempt: bool) -> tuple[int, ...]:
     """The positions of the separating set of ``H``'s rows (edge masks).
-    Its rank in the size-ascending enumeration is ``done``, the sets of
-    the sizes before its own, plus its ``_rank`` within its size, plus 1.
-    The trace table's gate (``_table_fits``) picks the engine for the
-    sizes the memo does not answer: the subset lattice or the walker.
+    Its rank in the size-ascending enumeration is the sets of the sizes
+    before its own, plus its lexicographic rank within its size, plus 1;
+    ``room`` is the budget less the sets of the sizes before the current
+    one.  The trace table's gate (``_table_fits``) picks the engine for
+    the sizes the memo does not answer: the subset lattice or the walker.
 
     ``traces`` is a snapshot of the nonempty ``T_k`` memoised in
     ``H.trace_memo``, since another thread may add to it meanwhile.
     ``T_k`` never falls as k grows while the labels needed never rise, so
     every size up to the last k with ``T_k`` below them fails: the search
-    starts after it, and ``done`` counts the skipped sizes' sets in full.
+    starts after it, and ``room`` is charged the skipped sizes' sets in
+    full.
 
     ``found`` maps a size to a separating set found without a walk.
     Without exempt rows, the least k with ``T_k = len(rows)`` gives its
@@ -170,20 +174,23 @@ def _search(H: Hypergraph, budget: int, search: str, selected_exempt: bool) -> t
     built.  Off the lattice, a size with no found set walks, and each set
     the walker yields is tested.
 
-    Every candidate, found or walked, passes one rank test: a set ranked
-    below ``room``, the budget left at its size, returns if it separates,
-    and the first ranked past it ends the size untested.  So a witness the
+    Every candidate, found or walked, passes one budget test: a set
+    ranked below ``room`` within its size returns if it separates, and the
+    first ranked at or past it ends the size untested.  So a witness the
     trace memo gives still counts against the budget, as this is the
     search the call starts; only a separating set already found
     (``H.separating_memo``) is served at any budget, by ``separating_set``
-    before it calls ``_search``.  The test ranks a set only in the size
-    where the budget ends (``room < C(n, size)``), since before it every
-    rank is within ``room``.
+    before it calls ``_search``.  Before the size where the budget ends
+    (``room < C(n, size)``) every rank is within ``room``, so ``bound`` is
+    None.  In that size ``bound`` is the set ranked ``room`` there
+    (``_unrank``; a ``room`` the skipped sizes used up is clamped to 0,
+    the first set), and a set ranks at or past ``room`` iff ``_past`` puts
+    it at or after ``bound``.
     Only that rank is budgeted, so the cut needs no accounting: every set
     before it, cut or tested, fails to separate, so that size raises.  In
     that size ``keep`` also closes the node of a prefix whose first
-    completion, the prefix plus the ``left`` positions after ``p``, ranks
-    past it: every later completion and every later sibling's ranks after.
+    completion, the prefix plus the ``left`` positions after ``p``, is
+    past it: every later completion and every later sibling's come after.
     A short reach closes the walk's node, which is sound with LD's exempt
     rows too, since a later sibling has a smaller reach and more needy
     rows.
@@ -191,7 +198,7 @@ def _search(H: Hypergraph, budget: int, search: str, selected_exempt: bool) -> t
     rows, n = H.edge_masks, H.n
 
     def keep(prefix: int, reach: int, p: int, left: int) -> bool | None:
-        if room < total and _rank(n, prefix | ((1 << left) - 1) << (p + 1)) >= room:
+        if _past(prefix | ((1 << left) - 1) << (p + 1), bound):
             return None
         if selected_exempt:
             # Only rows at or before p outside the picks keep needing a label.
@@ -207,42 +214,53 @@ def _search(H: Hypergraph, budget: int, search: str, selected_exempt: bool) -> t
     traces = {k: tw for (k, empty), tw in tuple(H.trace_memo.items()) if not empty}
     floor = next(s for s in range(n + 1) if (1 << s) - 1 >= needed(s))
     start = max([floor, *(k + 1 for k, (t, _) in traces.items() if t < needed(k))])
-    done = sum(comb(n, s) for s in range(floor, start))
+    room = budget - sum(comb(n, s) for s in range(floor, start))
     hits = [] if selected_exempt else sorted(k for k, (t, _) in traces.items() if t == len(rows))
     found = {k: H.mask(traces[k][1]) for k in hits[:1]}
     lattice = _table_fits(H)
-    if lattice and done < budget and start not in found:
+    if lattice and room > 0 and start not in found:
         first = first_separating_set(rows, n, selected_exempt)
         found[first.bit_count()] = first
     for size in range(start, n + 1):
-        room = budget - done
         total = comb(n, size)
+        bound = _unrank(n, size, max(room, 0)) if room < total else None
         if size in found:
             cands = [found[size]]
         else:
             cands = () if lattice else walk(n, size, keep)
         for smask in cands:
-            if room < total and _rank(n, smask) >= room:
+            if _past(smask, bound):
                 break
             if size in found or _separates(rows, smask, selected_exempt):
                 return tuple(bits(smask))
-        if room < total:
+        if bound is not None:
             raise BudgetExceededError(f"{search} search budget exceeded", budget=budget)
-        done += total
+        room -= total
     raise AssertionError("the full position set must separate every row")
 
 
-def _rank(n: int, smask: int) -> int:
-    """How many sets of positions ``0..n-1`` of the size k of ``smask``
-    come before it in lexicographic order: with picks p_0 < ... < p_{k-1}
-    and q_i = p_{i-1} + 1 (q_0 = 0), those whose first smaller pick is
-    pick i number C(n - q_i, k - i) - C(n - p_i, k - i)."""
-    k = smask.bit_count()
-    rank = q = 0
-    for i, p in enumerate(bits(smask)):
-        rank += comb(n - q, k - i) - comb(n - p, k - i)
-        q = p + 1
-    return rank
+def _unrank(n: int, k: int, rank: int) -> int:
+    """The mask of the k-set of positions ``0..n-1`` at 0-based ``rank``
+    in lexicographic order, ``rank < C(n, k)``: in the combinatorial
+    number system (Knuth, TAOCP 4A, 7.2.1.3) position x is picked iff the
+    rank left is below C(n - x - 1, k - 1), the sets that pick it next."""
+    smask = x = 0
+    while k:
+        picking = comb(n - x - 1, k - 1)
+        if rank < picking:
+            smask, k = smask | 1 << x, k - 1
+        else:
+            rank -= picking
+        x += 1
+    return smask
+
+
+def _past(smask: int, bound: int | None) -> bool:
+    """Whether a set is the boundary set ``bound`` of its size or comes
+    after it in lexicographic order; with no boundary (None), never.  Of
+    two sets of one size the earlier holds the least position they differ
+    in (as in ``trace._first``), so ``smask`` is past iff it misses it."""
+    return bound is not None and not smask & (smask ^ bound) & -(smask ^ bound)
 
 
 def is_distinguishing_transversal(H: Hypergraph, subset) -> bool:
@@ -261,8 +279,10 @@ def dt_exact(H: Hypergraph, subset_budget: int = SUBSET_BUDGET_DEFAULT) -> DtRes
     ``T_k = |E|`` without testing a set; on a fresh ``H`` it walks from the
     ``2^k - 1 >= |E|`` floor.  Its outcome is memoised on ``H``, so a later
     search of the same masks (``gamma_exact`` for ID or OLD on a cached
-    neighborhood hypergraph) is answered without searching again.  ``subset_budget`` bounds the
-    witness's rank in the plain size-ascending order of candidate sets.
+    neighborhood hypergraph) is answered without searching again.
+    ``subset_budget`` bounds the witness's rank in the plain size-ascending
+    order of candidate sets; that rank is never computed, as each set is
+    compared with one boundary set per size (``_search``).
     """
     _require_transversal(H)
     if H.m == 0:

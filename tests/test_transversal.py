@@ -24,7 +24,7 @@ from hypertrace.generate import random_gnp, random_tree
 from hypertrace.hypergraph import bits
 from hypertrace import trace
 from hypertrace.trace import trace_function_exact
-from hypertrace.transversal import _rank, separating_set
+from hypertrace.transversal import _past, _unrank, separating_set
 from conftest import distinct_edges_hypergraph
 from oracles import brute_dt, many_edge_masks, plain_separating_set
 
@@ -382,11 +382,18 @@ def test_only_a_usable_trace_witness_becomes_a_mask(monkeypatch):
     assert len(full) > 1 and masks == [closed.trace_memo[(min(full), False)][1]]
 
 
-def test_rank_is_the_lexicographic_index():
+def test_unrank_and_the_order_test_follow_the_lexicographic_order():
+    """``_unrank`` gives every k-set of n <= 10 positions at its index in
+    ``itertools.combinations``, and for n <= 8 ``_past`` puts each pair of
+    one size in that order; no set is past a missing boundary."""
     for n in range(11):
         for k in range(n + 1):
-            for i, combo in enumerate(combinations(range(n), k)):
-                assert _rank(n, sum(1 << p for p in combo)) == i, (n, combo)
+            masks = [sum(1 << p for p in combo) for combo in combinations(range(n), k)]
+            assert [_unrank(n, k, i) for i in range(len(masks))] == masks, (n, k)
+            if n <= 8:
+                for i, a in enumerate(masks):
+                    assert not _past(a, None)
+                    assert [_past(a, b) for b in masks] == [i >= j for j in range(len(masks))], (n, a)
 
 
 def _plain_rank(n, rows, want, exempt):
@@ -631,6 +638,25 @@ def test_pruned_search_tests_few_leaves(monkeypatch):
         H = neighborhood_hypergraph(random_gnp(16, 0.3, seed=1), closed=True)
         assert dt_exact(H).value == 6
         assert len(tests) < 500 and bool(tests) == (name == "walker"), (name, len(tests))
+
+
+def test_a_refusal_pays_no_work_per_set_tested(monkeypatch):
+    """A refused LD search on random_tree(300, 1) walks one size, at
+    budget 10^4 and at 10^6, and its budget test makes at most n + 1
+    ``comb`` calls per size searched (C(n, size) and one unranked boundary
+    set), however many sets it tests: 583 and 874 here."""
+    combs = _count_calls(monkeypatch, "comb")
+    tests = _count_calls(monkeypatch, "_separates")
+    walks = _count_calls(monkeypatch, "walk")
+    tested = []
+    for budget in (10**4, 10**6):
+        for calls in (combs, tests, walks):
+            calls.clear()
+        with pytest.raises(BudgetExceededError, match="domination search budget exceeded"):
+            gamma_exact(random_tree(300, seed=1), "LD", subset_budget=budget)
+        assert len(walks) == 1 and len(combs) <= 301, (budget, len(combs))
+        tested.append(len(tests))
+    assert tested == [583, 874]
 
 
 def test_report_shares_dt_searches_with_id_and_old(monkeypatch):
