@@ -67,16 +67,17 @@ def gamma_exact(G: Graph, kind: str, subset_budget: int = SUBSET_BUDGET_DEFAULT)
     lexicographically first witness is reported.  It starts past every
     size k whose ``T_k``, memoised on the neighborhood hypergraph, is below
     the labels a k-set must give (n, or n - k for LD), and for ID and OLD a
-    memoised ``T_k = n`` is the answer with its witness.  Within the trace
-    table's gate, the rest (LD, in a report) is read off the table's
-    subset lattice in one down-closure, with no set tested.
+    memoised ``T_k = n`` at that start is the answer with its witness.
+    Within the trace table's gate, the rest (LD, in a report) is read off
+    the table's subset lattice in one down-closure, with no set tested.
     It runs on the cached neighborhood hypergraph and is memoised there:
     ID shares its outcome with ``dt_exact`` on the closed neighborhoods,
     OLD with ``dt_exact`` on the open ones, and a budget that a search of
     the same rows already exceeded raises without searching again.
-    ``subset_budget`` bounds the witness's rank in the plain
-    size-ascending order of candidate sets, tested against one boundary
-    set per size, not by ranking each candidate.
+    ``subset_budget`` bounds only the walk above the gate: the witness's
+    rank in the plain size-ascending order of candidate sets, tested
+    against one boundary set per size, not by ranking each candidate.  A
+    memo answer and the lattice's are given at any budget.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")

@@ -59,33 +59,37 @@ def trace_function_exact(
     Counts nonempty traces unless ``include_empty`` is set.  Ties among
     maximizing subsets break to the lexicographically first witness.
     Each value is computed once per hypergraph and kept in
-    ``H.trace_memo``, which serves it at any ``subset_budget``: the budget
-    is charged only for a value the call would compute.  A value not held
-    is refused when C(n, k) exceeds ``subset_budget``, before any table
-    fill, so a refusal memoises nothing; the refusal writes C(n, k) only
-    up to ``EXACT_COUNT_MAX``.
-    Sizes 0, 1 and n take closed forms on the incidence and build no n-bit
-    mask (``_closed_form``).  Any other size, on a hypergraph within the
-    table's gate (``_table_fits``: n <= 18, at most 256 distinct edges,
-    and at most 32 pairs of them per subset), fills the memo with every
-    ``T_k`` in both modes from one pass over the 2^n subsets
-    (``trace_table``).  Above the gate, the branch-and-bound search
-    ``_search_exact`` finds the one value asked for.
+    ``H.trace_memo``, which serves it at any ``subset_budget``.  A value
+    not held takes one of three paths, and only the last is budgeted:
+    sizes 0, 1 and n take closed forms on the incidence and build no
+    n-bit mask (``_closed_form``); any other size, on a hypergraph within
+    the table's gate (``_table_fits``: n <= 18, at most 256 distinct
+    edges, and at most 32 pairs of them per subset), fills the memo with
+    every ``T_k`` in both modes from one pass over the 2^n subsets
+    (``trace_table``); above the gate, the branch-and-bound search
+    ``_search_exact`` finds the one value asked for, and is refused when
+    C(n, k) exceeds ``subset_budget``, before it starts, so a refusal
+    memoises nothing.  The refusal writes C(n, k) only up to
+    ``EXACT_COUNT_MAX``.
     """
     if not 0 <= k <= H.n:
         raise ValueError(f"k must be in [0, {H.n}]")
     memo = H.trace_memo
-    if (k, include_empty) not in memo:
-        total = comb(H.n, k)
-        if total > subset_budget:
-            size = f"= {total}" if total <= EXACT_COUNT_MAX else f">= 2^{total.bit_length() - 1}"
-            raise BudgetExceededError(
-                f"C({H.n},{k}) {size} subsets exceed the budget", needed=total, budget=subset_budget
-            )
-        if 1 < k < H.n and _table_fits(H):
+    key = (k, include_empty)
+    if key not in memo:
+        if k in (0, 1, H.n):
+            memo[key] = _closed_form(H, k, include_empty)
+        elif _table_fits(H):
             memo.update(trace_table(H))
-    # A held value is a 2-tuple, never falsy; without one the search runs.
-    return memo.get((k, include_empty)) or _search_exact(H, k, include_empty)
+        else:
+            total = comb(H.n, k)
+            if total > subset_budget:
+                size = f"= {total}" if total <= EXACT_COUNT_MAX else f">= 2^{total.bit_length() - 1}"
+                raise BudgetExceededError(
+                    f"C({H.n},{k}) {size} subsets exceed the budget", needed=total, budget=subset_budget
+                )
+            _search_exact(H, k, include_empty)
+    return memo[key]
 
 
 def _table_fits(H: Hypergraph) -> bool:
@@ -254,8 +258,8 @@ def _size_classes(n: int) -> tuple[int, ...]:
 
 
 def _search_exact(H: Hypergraph, k: int, include_empty: bool) -> tuple[int, tuple[int, ...]]:
-    """``trace_function_exact`` without its memo read, budget and table:
-    the closed forms, then the branch-and-bound search, memoising the
+    """``trace_function_exact`` without its memo read, budget, closed
+    forms and table: the branch-and-bound search alone, memoising the
     result.
 
     The search counts the k-sets ``walk`` yields and stops at the first whose
@@ -278,9 +282,6 @@ def _search_exact(H: Hypergraph, k: int, include_empty: bool) -> tuple[int, tupl
     """
     memo = H.trace_memo
     key = (k, include_empty)
-    if k in (0, 1, H.n):
-        memo[key] = result = _closed_form(H, k, include_empty)
-        return result
     masks = H.distinct_masks
     if include_empty and (k, False) in memo:
         value, witness = memo[(k, False)]
@@ -446,12 +447,15 @@ def reaches(
 def trace_value(H: Hypergraph, j: int) -> tuple[int, str]:
     """``T_j`` for the bounds: exact while cheap, else the 2^j - 1 relaxation.
 
-    Returns (value, form) with form "exact-T" or "power-of-two".  The exact
-    value is used while C(n, j) times the distinct edge count m stays within
+    Returns (value, form) with form "exact-T" or "power-of-two".  Above
+    the trace table's gate, the search for ``T_j`` is used while C(n, j)
+    times the distinct edge count m stays within
     ``CHAIN_EXACT_WORK_LIMIT``: ``trace_function_exact``'s own budget check,
     with the budget ``CHAIN_EXACT_WORK_LIMIT // m``, since for integers
     ``C(n, j) * m <= L`` iff ``C(n, j) <= L // m``.  Its refusal comes
-    before any table fill, so a relaxed ``T_j`` memoises nothing.
+    before the search starts, so a relaxed ``T_j`` memoises nothing.  A
+    held value, the closed forms ``T_0``, ``T_1`` and ``T_n``, and any
+    ``T_j`` within the gate are exact whatever the limit says.
     """
     budget = CHAIN_EXACT_WORK_LIMIT // max(len(H.distinct_edges), 1)
     try:

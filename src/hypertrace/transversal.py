@@ -95,41 +95,42 @@ def separating_set(
     masks) and LD, ID and OLD (rows are neighborhood masks indexed by
     vertex).  With ``selected_exempt`` the row of a selected position
     needs no label, which is how LD differs.  Sizes ascend from the floor
-    where s positions can give 2^s - 1 labels, and ``_search`` answers on
-    one path: each candidate set, whatever its source, passes one budget
-    test.  On a hypergraph within the trace table's gate
-    (``trace._table_fits``), one down-closure on the table's subset
-    lattice (``trace.first_separating_set``) gives the first separating
-    set and no set is tested.  Above it, within a size, the candidates
-    are the sets ``walk`` yields in lexicographic order, each tested, and
-    the walk's cut skips a prefix when ``reaches`` finds that no
-    completion gives the rows ``len(rows)`` distinct nonempty labels.
-    With ``selected_exempt`` only the rows that can no longer be selected
+    where s positions can give 2^s - 1 labels, and ``_search`` answers in
+    one fixed order: a DT the trace memo proves, then, on a hypergraph
+    within the trace table's gate (``trace._table_fits``), one
+    down-closure on the table's subset lattice
+    (``trace.first_separating_set``), with no set tested, and only above
+    the gate the walker.  Within a size the walker's candidates are the
+    sets ``walk`` yields in lexicographic order, each tested, and the
+    walk's cut skips a prefix when ``reaches`` finds that no completion
+    gives the rows ``len(rows)`` distinct nonempty labels.  With
+    ``selected_exempt`` only the rows that can no longer be selected
     (positions up to the last pick, outside the picks) are asked about.
     The cut is sound, so the witness is still the first minimum set.
 
     ``_search`` also reads the nonempty ``T_k`` memoised in
     ``H.trace_memo`` (a snapshot of it), since a k-set gives at most
     ``T_k`` rows distinct nonempty labels.  It starts past every size
-    whose ``T_k`` is below the labels needed, and without
-    ``selected_exempt`` the least memoised k with ``T_k`` equal to
-    ``len(rows)`` is the answer: its witness is the first k-set that
-    carries that many traces, so DT(H) is the least k with ``T_k = |E|``;
-    that witness is a candidate like any other.  Neither changes the
-    witness or the budget outcome.  On a hypergraph within the trace
-    table's gate, the first ``T_k`` asked for (of size 2 up to n - 1)
-    memoises every ``T_k``, so once a report's bounds have asked for one,
-    DT, ID and OLD there are memo hits.
+    whose ``T_k`` is below the labels needed.  Without
+    ``selected_exempt``, DT(H) is the least k with ``T_k = |E|``, and the
+    memoised witness is the first k-set that carries that many traces:
+    when the least memoised k with ``T_k`` equal to ``len(rows)`` is that
+    start, it is the answer.  On a hypergraph within the trace table's
+    gate, the first ``T_k`` asked for (of size 2 up to n - 1) memoises
+    every ``T_k``, so once a report has asked for one, DT, ID and OLD
+    there are memo answers.
 
-    The budget bounds one number, the witness's rank in the plain
-    size-ascending enumeration of every candidate: the search raises
-    "<search> search budget exceeded" iff that rank exceeds ``budget``,
-    whatever its cut skipped.  No rank is computed: the size where the
-    budget ends unranks one boundary set, and a candidate is tested
-    against it with one XOR on masks.
+    The budget bounds only the walker, and one number there, the
+    witness's rank in the plain size-ascending enumeration of every
+    candidate: the search raises "<search> search budget exceeded" iff
+    that rank exceeds ``budget``, whatever its cut skipped.  No rank is
+    computed: the size where the budget ends unranks one boundary set,
+    and a candidate is tested against it with one XOR on masks.  Neither
+    a memo proof nor the lattice walks, so both answer at any budget, and
+    inside the gate nothing is refused.
     Callers must ensure the full position set qualifies.  The outcome is
     kept in ``H.separating_memo``, either the witness or the largest
-    budget refused, and the budget is charged only for a search the call
+    budget refused, and the budget is charged only for a walk the call
     would start: a found witness is served at any budget, and a budget no
     larger than one already refused raises without searching again.
     """
@@ -148,52 +149,46 @@ def separating_set(
 
 
 def _search(H: Hypergraph, budget: int, search: str, selected_exempt: bool) -> tuple[int, ...]:
-    """The positions of the separating set of ``H``'s rows (edge masks).
-    Its rank in the size-ascending enumeration is the sets of the sizes
-    before its own, plus its lexicographic rank within its size, plus 1;
-    ``room`` is the budget less the sets of the sizes before the current
-    one.  The trace table's gate (``_table_fits``) picks the engine for
-    the sizes the memo does not answer: the subset lattice or the walker.
+    """The positions of the separating set of ``H``'s rows (edge masks),
+    from the first of three answers that applies.
 
     ``traces`` is a snapshot of the nonempty ``T_k`` memoised in
     ``H.trace_memo``, since another thread may add to it meanwhile.
     ``T_k`` never falls as k grows while the labels needed never rise, so
-    every size up to the last k with ``T_k`` below them fails: the search
-    starts after it, and ``room`` is charged the skipped sizes' sets in
-    full.
+    every size up to the last k with ``T_k`` below them fails, and so does
+    every size below ``floor``: ``start`` is the first size not ruled out.
 
-    ``found`` maps a size to a separating set found without a walk.
-    Without exempt rows, the least k with ``T_k = len(rows)`` gives its
-    memoised witness, the first k-set that separates, and only that
-    witness becomes a mask: it is at least ``start``, and the search ends
-    at its size.  The lattice gives ``first_separating_set``, whose size
-    is the least that separates, so it is at least ``start``, and if a
-    memo hit has it too, the two sets are one.  The lattice is built only
-    when the budget outlasts the skipped sizes and ``start`` is no memo
-    hit, so a budget the skipped sizes use up raises before any bitmap is
-    built.  Off the lattice, a size with no found set walks, and each set
-    the walker yields is tested.
-
-    Every candidate, found or walked, passes one budget test: a set
-    ranked below ``room`` within its size returns if it separates, and the
-    first ranked at or past it ends the size untested.  So a witness the
-    trace memo gives still counts against the budget, as this is the
-    search the call starts; only a separating set already found
-    (``H.separating_memo``) is served at any budget, by ``separating_set``
-    before it calls ``_search``.  Before the size where the budget ends
-    (``room < C(n, size)``) every rank is within ``room``, so ``bound`` is
-    None.  In that size ``bound`` is the set ranked ``room`` there
-    (``_unrank``; a ``room`` the skipped sizes used up is clamped to 0,
-    the first set), and a set ranks at or past ``room`` iff ``_past`` puts
-    it at or after ``bound``.
-    Only that rank is budgeted, so the cut needs no accounting: every set
-    before it, cut or tested, fails to separate, so that size raises.  In
-    that size ``keep`` also closes the node of a prefix whose first
-    completion, the prefix plus the ``left`` positions after ``p``, is
-    past it: every later completion and every later sibling's come after.
-    A short reach closes the walk's node, which is sound with LD's exempt
-    rows too, since a later sibling has a smaller reach and more needy
-    rows.
+    1. Without exempt rows, the least k with ``T_k = len(rows)`` gives its
+       memoised witness, the first k-set that separates, and only that
+       witness becomes a mask.  If k is ``start``, every smaller size is
+       ruled out, so it is the answer.  A hit past ``start`` proves
+       nothing alone (the closed-form ``T_n = |E|`` is held on every
+       report's hypergraph) and stays a candidate of the walk at its size.
+    2. Within the trace table's gate (``_table_fits``), the subset
+       lattice gives ``first_separating_set``, the first set of the least
+       size that separates.
+    3. Otherwise the walker runs from ``start``, and each set it yields is
+       tested.  Its rank in the size-ascending enumeration is the sets of
+       the sizes before its own (from ``floor``, so the sizes the memo
+       skipped are charged in full), plus its lexicographic rank within
+       its size, plus 1; ``room`` is the budget less the sets of the sizes
+       before the current one.  Every candidate, walked or the held hit,
+       passes one budget test: a set ranked below ``room`` within its size
+       returns if it separates, and the first ranked at or past it ends
+       the size untested.  Before the size where the budget ends
+       (``room < C(n, size)``) every rank is within ``room``, so ``bound``
+       is None.  In that size ``bound`` is the set ranked ``room`` there
+       (``_unrank``; a ``room`` the skipped sizes used up is clamped to 0,
+       the first set), and a set ranks at or past ``room`` iff ``_past``
+       puts it at or after ``bound``.
+       Only that rank is budgeted, so the cut needs no accounting: every
+       set before it, cut or tested, fails to separate, so that size
+       raises.  In that size ``keep`` also closes the node of a prefix
+       whose first completion, the prefix plus the ``left`` positions
+       after ``p``, is past it: every later completion and every later
+       sibling's come after.  A short reach closes the walk's node, which
+       is sound with LD's exempt rows too, since a later sibling has a
+       smaller reach and more needy rows.
     """
     rows, n = H.edge_masks, H.n
 
@@ -214,21 +209,17 @@ def _search(H: Hypergraph, budget: int, search: str, selected_exempt: bool) -> t
     traces = {k: tw for (k, empty), tw in tuple(H.trace_memo.items()) if not empty}
     floor = next(s for s in range(n + 1) if (1 << s) - 1 >= needed(s))
     start = max([floor, *(k + 1 for k, (t, _) in traces.items() if t < needed(k))])
-    room = budget - sum(comb(n, s) for s in range(floor, start))
     hits = [] if selected_exempt else sorted(k for k, (t, _) in traces.items() if t == len(rows))
     found = {k: H.mask(traces[k][1]) for k in hits[:1]}
-    lattice = _table_fits(H)
-    if lattice and room > 0 and start not in found:
-        first = first_separating_set(rows, n, selected_exempt)
-        found[first.bit_count()] = first
+    if start in found:
+        return tuple(bits(found[start]))
+    if _table_fits(H):
+        return tuple(bits(first_separating_set(rows, n, selected_exempt)))
+    room = budget - sum(comb(n, s) for s in range(floor, start))
     for size in range(start, n + 1):
         total = comb(n, size)
         bound = _unrank(n, size, max(room, 0)) if room < total else None
-        if size in found:
-            cands = [found[size]]
-        else:
-            cands = () if lattice else walk(n, size, keep)
-        for smask in cands:
+        for smask in [found[size]] if size in found else walk(n, size, keep):
             if _past(smask, bound):
                 break
             if size in found or _separates(rows, smask, selected_exempt):
@@ -276,13 +267,16 @@ def dt_exact(H: Hypergraph, subset_budget: int = SUBSET_BUDGET_DEFAULT) -> DtRes
     edges, so ``separating_set`` over the edge masks terminates.  DT(H) is
     the least k with ``T_k(H) = |E|``, so the search starts past the sizes
     whose memoised ``T_k`` falls short and takes the witness of a memoised
-    ``T_k = |E|`` without testing a set; on a fresh ``H`` it walks from the
-    ``2^k - 1 >= |E|`` floor.  Its outcome is memoised on ``H``, so a later
+    ``T_k = |E|`` at that start without testing a set.  Otherwise, within
+    the trace table's gate, it reads the subset lattice, and above it walks
+    from the ``2^k - 1 >= |E|`` floor.  Its outcome is memoised on ``H``, so a later
     search of the same masks (``gamma_exact`` for ID or OLD on a cached
     neighborhood hypergraph) is answered without searching again.
-    ``subset_budget`` bounds the witness's rank in the plain size-ascending
-    order of candidate sets; that rank is never computed, as each set is
-    compared with one boundary set per size (``_search``).
+    ``subset_budget`` bounds only the walk, above the trace table's gate:
+    the witness's rank in the plain size-ascending order of candidate
+    sets; that rank is never computed, as each set is compared with one
+    boundary set per size (``_search``).  A DT the memo proves, and one
+    within the gate, is given at any budget.
     """
     _require_transversal(H)
     if H.m == 0:

@@ -52,11 +52,23 @@ def test_tree_check_subcommand(capsys):
     assert len(doc["results"]["tree"]["certificates"]) == 5
 
 
-def test_budget_exit_code(capsys):
+def tree20(capsys, tmp_path):
+    """random_tree(20, seed=3), written by ``gen``: 20 vertices, above the
+    trace table's gate, where the subset budget still refuses searches."""
+    path = tmp_path / "tree20.graph"
+    assert run_cli(capsys, "gen", "tree", "--n", "20", "--seed", "3", "--out", str(path))[0] == 0
+    return str(path)
+
+
+def test_budget_exit_code(capsys, tmp_path):
+    # P4 is inside the gate, where nothing is refused: budget 1 is exact.
     code, out, _ = run_cli(capsys, "analyze", str(FIXTURE), "--budget-subsets", "1")
+    assert code == 0
+    assert json.loads(out)["skipped"] == []
+    code, out, _ = run_cli(capsys, "analyze", tree20(capsys, tmp_path), "--budget-subsets", "1")
     assert code == 3
-    doc = json.loads(out)
-    assert doc["skipped"]
+    skipped = [s["stage"] for s in json.loads(out)["skipped"]]
+    assert skipped == ["trace-k2", "trace-k10", "dt-closed", "gamma-LD", "gamma-ID"]
 
 
 def test_usage_error_exits_1(capsys):
@@ -162,13 +174,18 @@ def test_bench_deterministic_instance_hashes(capsys):
     assert hashes1 == hashes2
 
 
-def test_text_summary_marks_budget_skips(capsys):
-    code, out, _ = run_cli(capsys, "analyze", str(FIXTURE), "--budget-subsets", "1", "--text")
+def test_text_summary_marks_budget_skips(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "analyze", tree20(capsys, tmp_path), "--budget-subsets", "1", "--text")
     assert code == 3
-    # LD and OLD are feasible on P4; only their exact searches ran out of budget.
-    assert "gamma LD: skipped best-lower-bound=2" in out
-    assert "gamma OLD: skipped best-lower-bound=4" in out
-    assert "infeasible" not in out
+    # LD and ID are feasible on this tree; only their exact searches ran out
+    # of budget.  OLD is infeasible (open twins), which no budget changes.
+    assert "gamma LD: skipped best-lower-bound=8" in out
+    assert "gamma ID: skipped best-lower-bound=10" in out
+    assert "gamma OLD: infeasible (open twins cannot be told apart)" in out
+    assert "skipped (budget): gamma-LD" in out
+    code, out, _ = run_cli(capsys, "analyze", str(FIXTURE), "--budget-subsets", "1", "--text")
+    assert code == 0
+    assert "gamma LD: exact=2" in out and "gamma OLD: exact=4" in out and "skipped" not in out
 
 
 @pytest.mark.parametrize(

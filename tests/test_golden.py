@@ -2,10 +2,11 @@
 
 Each digest is the sha256 of ``to_json(include_timings=False)``, so a
 refactor that changes any result, bound, witness, check or skip detail by
-one byte fails here.  The corpus covers graphs, a tree whose trace entry's
-T_k is served from the memo at a budget below C(n, k), with budget skips
-on DT-closed, LD and ID, and plain hypergraphs with T_k and DT skips, and
-runs in about a second.
+one byte fails here.  The corpus covers graphs; two trees at budget
+1,000: on 14 vertices, inside the trace table's gate, where nothing is
+refused at any budget, and on 20, above it, with budget skips on T_10,
+DT-closed, LD and ID; and plain hypergraphs, one above the gate with T_k
+and DT skips.  It runs in about a second.
 """
 
 import hashlib
@@ -20,6 +21,7 @@ CORPUS = {
     "gnp15": (lambda: random_gnp(15, 0.35, seed=2), None),
     "tree10": (lambda: random_tree(10, seed=5), None),
     "tree14": (lambda: random_tree(14, seed=2), 1000),
+    "tree20": (lambda: random_tree(20, seed=3), 1000),
     "h14": (lambda: random_hypergraph(14, 42, max_edge_size=6, seed=3), None),
     "h50": (lambda: random_hypergraph(50, 66, max_edge_size=6, seed=37), 30000),
 }
@@ -29,13 +31,15 @@ DIGESTS = {
     "gnp16": "56e0988462d1932d55a6f9bfe2110a46ec79b88a764e688023b63e3aa5cb4012",
     "gnp15": "d83de281235a6fa835a45956cc62b4113972d3ec27a6473203b1880adcda03a0",
     "tree10": "bb770f1b21386ab8185d2265e17abd958518bfca230bfd174f97e9c773efeea2",
-    "tree14": "d122d5152a7945f3fe229bf24175480b59dcf3fb4ca44f8e62772bb3df8fbf68",
+    "tree14": "c7e0da5fb1e0fe7eec34f59d9a968ccc426c7d5fbfda8603203c56388c51825f",
+    "tree20": "efff9f9eae521874663d72ca528418bd82b51ab8bfe3be254a55bc128d4a2381",
     "h14": "e4546bf07678b9e32e91fac66cb624e724b37a98a102a846bad0f9ac0a599fd0",
     "h50": "18a7b60423cc3eee4333f8e49826a3177758718fd7b79315a1638c71093879a1",
 }
 
 SKIPPED = {
-    "tree14": ["dt-closed", "gamma-LD", "gamma-ID"],
+    "tree14": [],
+    "tree20": ["trace-k10", "dt-closed", "gamma-LD", "gamma-ID"],
     "h50": ["trace-k25", "dt"],
 }
 

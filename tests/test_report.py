@@ -1,12 +1,21 @@
 import json
+import random
 import sys
 from collections import Counter
 from math import comb
 
 import pytest
 
-from hypertrace import Budgets, Graph, build_hypergraph, restriction, run_report, validate_report
-from hypertrace import degeneracy
+from hypertrace import (
+    Budgets,
+    Graph,
+    build_hypergraph,
+    neighborhood_hypergraph,
+    restriction,
+    run_report,
+    validate_report,
+)
+from hypertrace import degeneracy, trace
 from hypertrace.generate import random_gnp, random_hypergraph, random_tree
 from hypertrace.transversal import dt_exact, dt_lower_bounds
 
@@ -46,7 +55,10 @@ def test_report_deterministic_apart_from_timings(p4):
 
 
 def test_budget_skips_marked(p4):
-    report = run_report(p4, budgets=Budgets(subset_budget=1))
+    # random_tree(20, seed=3) is above the trace table's gate, where the
+    # budget refuses searches; P4 is inside it, where nothing is refused.
+    assert run_report(p4, budgets=Budgets(subset_budget=1)).skipped == []
+    report = run_report(random_tree(20, seed=3), budgets=Budgets(subset_budget=1))
     assert report.exit_code == 3
     assert report.skipped
     doc = report.to_dict()
@@ -73,29 +85,64 @@ def test_refused_trace_entry_is_a_skip():
 
 
 def test_a_trace_value_the_bounds_hold_is_reported_at_any_budget():
-    # At budget 50 the closed side's T_2 is asked before the chain bounds
-    # compute it, under their own fixed budget, which fills the trace table
-    # with every T_k: trace-k2 is skipped, trace-k8 is served from the memo.
+    # Both sides of G(16, 0.3) are inside the trace table's gate, so every
+    # trace entry is exact at budgets 50 and 0, whichever call fills the
+    # table first, and equals the default report's.
     G = random_gnp(16, 0.3, seed=1)
-    low = run_report(G, budgets=Budgets(50))
     full = run_report(G)
-    stages = [s["stage"] for s in low.skipped]
-    assert "trace-k2" in stages and "trace-k8" not in stages
-    low_k8, full_k8 = ({e["k"]: e for e in r.results["trace_closed"]}[8] for r in (low, full))
-    for key in ("exact", "exact_with_empty", "witness"):
-        assert low_k8[key] == full_k8[key] is not None, key
+    for budget in (50, 0):
+        low = run_report(G, budgets=Budgets(budget))
+        assert low.skipped == []
+        for low_k, full_k in zip(low.results["trace_closed"], full.results["trace_closed"], strict=True):
+            for key in ("exact", "exact_with_empty", "witness"):
+                assert low_k[key] == full_k[key] is not None, (budget, low_k["k"], key)
+
+
+def _inside_the_gate_corpus():
+    """Seeded instances whose every side is inside the trace table's gate:
+    G(n, p) graphs and trees on 3-18 vertices, and hypergraphs with
+    duplicate and empty edges."""
+    rng = random.Random(32)
+    for _ in range(12):
+        yield random_gnp(rng.randint(3, 18), rng.choice((0.2, 0.3, 0.5)), seed=rng.randrange(10**6))
+    for _ in range(12):
+        yield random_tree(rng.randint(3, 18), seed=rng.randrange(10**6))
+    for _ in range(12):
+        n = rng.randint(3, 14)
+        edges = [frozenset(rng.sample(range(n), rng.randint(1, min(n, 4)))) for _ in range(rng.randint(1, 3 * n))]
+        edges += rng.sample(edges, min(len(edges), 2)) + [frozenset()] * rng.randint(0, 2)
+        yield build_hypergraph(n, edges, allow_multi=True)
+
+
+def test_nothing_inside_the_gate_is_refused_at_budget_0():
+    # Inside the gate the trace table, its closed forms and the subset
+    # lattice answer every stage, so budget 0 gives the default report's
+    # results and checks, with no skip.
+    seen = set()
+    for instance in _inside_the_gate_corpus():
+        if isinstance(instance, Graph):
+            sides = [neighborhood_hypergraph(instance, closed) for closed in (True, False)]
+            seen.add("tree" if instance.is_tree else "graph")
+        else:
+            sides = [instance]
+            seen |= {"duplicate" if instance.has_duplicate_edges else "", "empty" if not all(instance.edges) else ""}
+        assert all(trace._table_fits(side) for side in sides)
+        zero = run_report(instance, budgets=Budgets(0)).to_dict()
+        full = run_report(instance).to_dict()
+        assert zero["skipped"] == [] == full["skipped"], instance
+        assert (zero["results"], zero["checks"]) == (full["results"], full["checks"]), instance
+    assert {"tree", "graph", "duplicate", "empty"} <= seen
 
 
 def test_vc_is_read_off_the_trace_memo_at_any_budget():
-    # At budget 3 the chain bounds still fill the closed side's trace
-    # table before the VC stage, which reads every size from the memo and
-    # tests no set.  trace-k1 and trace-k2 run before the bounds: skipped.
+    # At budget 3 the trace-k2 entry fills the closed side's trace table
+    # before the VC stage, which reads every size from the memo and
+    # tests no set.  Nothing inside the gate is refused.
     report = run_report(random_gnp(16, 0.3, seed=1), budgets=Budgets(3))
     vc = report.results["vc"]
     assert (vc["dimension"], vc["witness"], vc["nodes_enumerated"]) == (
         {"value": 3, "exactness": "exact"}, [0, 1, 4], 0)
-    stages = [s["stage"] for s in report.skipped]
-    assert "vc" not in stages and {"trace-k1", "trace-k2"} <= set(stages)
+    assert report.skipped == []
 
 
 @pytest.mark.parametrize(

@@ -259,15 +259,39 @@ def test_the_table_matches_the_search_at_the_gates_edge():
 
 
 def test_a_value_not_held_is_refused_and_memoises_nothing():
-    # A fresh hypergraph that the table serves holds no T_6, so a budget
-    # below C(12, 6) = 924 still refuses it in both modes, before the table
-    # fills.
-    refused = build_hypergraph(12, [{0, 1}, {2, 3, 4}, {5, 11}])
-    assert trace._table_fits(refused)
+    # Above the table's gate (19 vertices) a fresh hypergraph holds no T_6,
+    # so a budget below C(19, 6) = 27,132 refuses it in both modes, before
+    # the search starts.  Inside the gate the table answers at any budget.
+    edges = [{0, 1}, {2, 3, 4}, {5, 11}]
+    refused = build_hypergraph(19, edges)
+    assert not trace._table_fits(refused)
     for include_empty in (False, True):
         with pytest.raises(BudgetExceededError):
-            trace_function_exact(refused, 6, include_empty, subset_budget=923)
+            trace_function_exact(refused, 6, include_empty, subset_budget=27_131)
     assert not refused.trace_memo
+    inside = build_hypergraph(12, edges)
+    assert trace._table_fits(inside)
+    for include_empty in (False, True):
+        got = trace_function_exact(inside, 6, include_empty, subset_budget=0)
+        assert got == brute_trace_function(inside, 6, include_empty)
+
+
+def test_closed_forms_are_served_at_any_budget():
+    # T_0, T_1 and T_n search nothing, so budget 0 gets them, in both modes,
+    # above the table's gate too; a size between them still walks there, and
+    # budget 0 refuses it.
+    H = random_tree(20, seed=3)
+    side = neighborhood_hypergraph(H, closed=True)
+    assert not trace._table_fits(side)
+    for k in (0, 1, side.n):
+        for include_empty in (False, True):
+            fresh = Hypergraph(side.vertices, side.edges)
+            want = trace._closed_form(fresh, k, include_empty)
+            assert trace_function_exact(fresh, k, include_empty, subset_budget=0) == want, (k, include_empty)
+    for k in (2, side.n // 2):
+        with pytest.raises(BudgetExceededError, match=f"C\\(20,{k}\\)"):
+            trace_function_exact(side, k, subset_budget=0)
+    assert set(side.trace_memo) == set()
 
 
 def test_closed_forms_match_the_oracle():
@@ -569,13 +593,15 @@ def test_chain_uses_power_of_two_when_expensive():
 
 def test_bounds_admit_exact_t_j_up_to_the_work_limit():
     # The bounds' T_j is exact while C(n, j) times the distinct edge count
-    # stays within CHAIN_EXACT_WORK_LIMIT = 10^7: n = 10,000 with 1,000
-    # edges is admitted, and one edge more is refused without a memo entry.
-    for m, form in ((1_000, "exact-T"), (1_001, "power-of-two")):
-        H = build_hypergraph(10_000, [[v] for v in range(m)])
-        assert (10_000 * m <= trace.CHAIN_EXACT_WORK_LIMIT) == (form == "exact-T")
-        assert trace.trace_value(H, 1) == (1, form)
-        assert ((1, False) in H.trace_memo) == (form == "exact-T")
+    # stays within CHAIN_EXACT_WORK_LIMIT = 10^7: n = 1,000 with 20 edges
+    # is admitted for T_2, and one edge more is refused without a memo
+    # entry.  T_1 is a closed form, served at either edge count.
+    for m, form in ((20, "exact-T"), (21, "power-of-two")):
+        H = build_hypergraph(1_000, [[v] for v in range(m)])
+        assert (comb(1_000, 2) * m <= trace.CHAIN_EXACT_WORK_LIMIT) == (form == "exact-T")
+        assert trace.trace_value(H, 2) == ((2 if form == "exact-T" else 3), form)
+        assert ((2, False) in H.trace_memo) == (form == "exact-T")
+        assert trace.trace_value(H, 1) == (1, "exact-T")
 
 
 def test_lower_bound_values(tri):
@@ -656,12 +682,19 @@ def test_profile_assembly(tri):
 
 
 def test_profile_budget_skip(tri):
-    report = run_report(tri, analyses=("trace",), budgets=Budgets(subset_budget=1))
+    # The triangle is inside the trace table's gate, where nothing is
+    # refused; on 20 vertices (17 isolated) it is above it, where budget 1
+    # refuses T_2 and T_10 but not the closed forms T_1 and T_20.
+    assert run_report(tri, analyses=("trace",), budgets=Budgets(subset_budget=1)).skipped == []
+    H = build_hypergraph(20, [{0, 1}, {1, 2}, {0, 2}])
+    report = run_report(H, analyses=("trace",), budgets=Budgets(subset_budget=1))
     entry = _trace_entry(report, 2)
     assert entry["exact"] is None and entry["exact_with_empty"] is None and entry["witness"] is None
     assert not entry["caveats"]
     assert entry["max_degree_bound"]["value"] == 4
     assert entry["lower_bound"]["value"] == 3
+    assert _trace_entry(report, 1)["exact"]["value"] == 1
+    assert _trace_entry(report, 20)["exact"]["value"] == 3
     skips = {s["stage"]: (s["needed"], s["budget"]) for s in report.skipped}
-    assert skips == {"trace-k1": (3, 1), "trace-k2": (3, 1)}
+    assert skips == {"trace-k2": (190, 1), "trace-k10": (184_756, 1)}
     assert report.exit_code == 3

@@ -32,7 +32,8 @@ from oracles import brute_dt, many_edge_masks, plain_separating_set
 # ``transversal``: the default path, where ``_table_fits`` sends a small
 # hypergraph to the subset lattice, and the walker, which ``_search`` then
 # runs at every size.  Tests that count the walker's work loop over both,
-# since a gated instance would otherwise pass them without walking.
+# since a gated instance would otherwise pass them without walking.  Only
+# the walker is budgeted: the lattice gives its witness at every budget.
 ENGINES = {"default": trace._table_fits, "walker": lambda H: False}
 
 
@@ -102,10 +103,14 @@ def test_exact_rejects_empty_edge():
         dt_exact(H)
 
 
-def test_exact_budget():
+def test_exact_budget(monkeypatch):
+    # Inside the trace table's gate budget 0 is exact; the walker refuses.
     H = build_hypergraph(
         16, [frozenset({i, (i + 1) % 16}) for i in range(16)]
     )
+    want = dt_exact(Hypergraph(H.vertices, H.edges))
+    assert dt_exact(Hypergraph(H.vertices, H.edges), subset_budget=0) == want
+    monkeypatch.setattr(transversal, "_table_fits", ENGINES["walker"])
     with pytest.raises(BudgetExceededError):
         dt_exact(H, subset_budget=2)
 
@@ -203,19 +208,21 @@ def _separating_cases(rng):
 
 
 def test_separating_set_matches_plain_enumeration(monkeypatch):
-    """Witness and raise/no-raise equal the unpruned search at every budget
-    on a fresh hypergraph.  Through one hypergraph's memo they do too until
-    a witness is found, and that witness is served at every later budget."""
+    """On the walker, witness and raise/no-raise equal the unpruned search
+    at every budget on a fresh hypergraph.  Through one hypergraph's memo
+    they do too until a witness is found, and that witness is served at
+    every later budget.  The lattice gives the witness at every budget."""
     for name in _engines(monkeypatch):
         rng = random.Random(5)
         checked = 0
         for H, exempt in _separating_cases(rng):
-            if plain_separating_set(H.edge_masks, H.n, 10**7, exempt) is None:
+            witness = plain_separating_set(H.edge_masks, H.n, 10**7, exempt)
+            if witness is None:
                 continue  # even the full vertex set does not separate
             shared = Hypergraph(H.vertices, H.edges, H.allow_multi)
             held = None
-            for budget in (rng.randint(1, 300), 10**7, rng.randint(1, 300), rng.randint(1, 300)):
-                want = _plain_outcome(H.edge_masks, H.n, budget, exempt)
+            for budget in (rng.randint(1, 300), 10**7, rng.randint(1, 300), rng.randint(1, 300), 0):
+                want = _plain_outcome(H.edge_masks, H.n, budget, exempt) if name == "walker" else witness
                 fresh = Hypergraph(H.vertices, H.edges, H.allow_multi)
                 assert _outcome(fresh, budget, exempt) == want, (name, H.edges, exempt, budget)
                 got = _outcome(shared, budget, exempt)
@@ -227,10 +234,11 @@ def test_separating_set_matches_plain_enumeration(monkeypatch):
 
 
 def test_separating_set_budget_boundary(monkeypatch):
-    """At budget rank - 1 the search raises and at budget rank it returns
-    the witness, with and without exempt rows: the witness's rank, the sets
-    of the sizes walked plus its lexicographic index within its size plus
-    1, must fall exactly where the plain enumeration's count does."""
+    """On the walker, at budget rank - 1 the search raises and at budget
+    rank it returns the witness, with and without exempt rows: the
+    witness's rank, the sets of the sizes walked plus its lexicographic
+    index within its size plus 1, must fall exactly where the plain
+    enumeration's count does.  The lattice returns it at both, and at 0."""
     for name in _engines(monkeypatch):
         rng = random.Random(13)
         checked = 0
@@ -247,8 +255,10 @@ def test_separating_set_budget_boundary(monkeypatch):
                 rank = sum(comb(H.n, s) for s in sizes) + 1 + next(
                     i for i, c in enumerate(combinations(range(H.n), len(want))) if c == want
                 )
-                fresh = Hypergraph(H.vertices, H.edges, H.allow_multi)
-                assert _outcome(fresh, rank - 1, exempt) == "raise", (name, H.edges, exempt, rank)
+                below = "raise" if name == "walker" else want
+                for budget in {0, rank - 1}:
+                    fresh = Hypergraph(H.vertices, H.edges, H.allow_multi)
+                    assert _outcome(fresh, budget, exempt) == below, (name, H.edges, exempt, budget)
                 fresh = Hypergraph(H.vertices, H.edges, H.allow_multi)
                 assert _outcome(fresh, rank, exempt) == want, (name, H.edges, exempt, rank)
                 checked += 1
@@ -287,9 +297,10 @@ def _engine_outcome(H, budget, exempt):
 
 def test_lattice_matches_the_walker_and_the_oracle(monkeypatch):
     """The subset lattice and the walker return the plain enumeration's
-    witness at its rank at budget rank and raise at rank - 1, on LD rows of
-    graphs (edgeless, with isolated vertices, with open twins) and on rows
-    more or fewer than the positions, with and without exempt rows."""
+    witness, on LD rows of graphs (edgeless, with isolated vertices, with
+    open twins) and on rows more or fewer than the positions, with and
+    without exempt rows: the walker at budget rank, raising at rank - 1,
+    and the lattice at every budget, 0 and rank - 1 included."""
     rng = random.Random(43)
     checked = 0
     shapes = set()
@@ -306,7 +317,9 @@ def test_lattice_matches_the_walker_and_the_oracle(monkeypatch):
         H = build_hypergraph(n, map(bits, rows), allow_multi=True)
         for lattice in (True, False):
             monkeypatch.setattr(transversal, "_table_fits", lambda H: lattice)
-            assert _engine_outcome(H, rank - 1, exempt) == "raise", (rows, n, exempt, lattice)
+            below = want if lattice else "raise"
+            for budget in {0, rank - 1}:
+                assert _engine_outcome(H, budget, exempt) == below, (rows, n, exempt, lattice, budget)
             assert _engine_outcome(H, rank, exempt) == want, (rows, n, exempt, lattice)
         checked += 1
     assert checked > 400 and {"edgeless", "isolated", "twins", "more rows", "fewer rows"} <= shapes
@@ -314,25 +327,26 @@ def test_lattice_matches_the_walker_and_the_oracle(monkeypatch):
 
 def test_engines_agree_at_the_gates_edge(monkeypatch):
     """DT on 18 vertices with 114 half-density and 256 small edges, inside
-    the trace table's gate: the subset lattice the gate picks and the
-    walker give the lattice's witness at its rank and raise one below it.
+    the trace table's gate: the walker gives the subset lattice's witness
+    at its rank and raises one below it, where the lattice still gives it.
     The brute-force oracle is too slow here."""
     for H in (distinct_edges_hypergraph(18, 114, half_density=True), distinct_edges_hypergraph(18, 256)):
         assert trace._table_fits(H)
         monkeypatch.setattr(transversal, "_table_fits", trace._table_fits)
-        witness = transversal._search(H, 10**9, "parity", False)
+        witness = transversal._search(H, 0, "parity", False)
         rank = _plain_rank(H.n, H.edge_masks, witness, False)
         for name in _engines(monkeypatch):
             fresh = Hypergraph(H.vertices, H.edges)
-            assert _outcome(fresh, rank - 1, False) == "raise", name
+            assert _outcome(fresh, rank - 1, False) == ("raise" if name == "walker" else witness), name
             fresh = Hypergraph(H.vertices, H.edges)
             assert _outcome(fresh, rank, False) == witness, name
             assert fresh.separating_memo[False] == witness, name
 
 
 def test_an_instance_just_outside_the_gate_walks(monkeypatch):
-    """LD on 19 vertices, one above the trace table's gate, runs the walker;
-    the subset lattice, asked anyway, gives the same witness and rank."""
+    """LD on 19 vertices, one above the trace table's gate, runs the walker,
+    which raises one below the witness's rank; the subset lattice, asked
+    anyway, gives the same witness at any budget."""
     lattices = _count_calls(monkeypatch, "first_separating_set")
     walks = _count_calls(monkeypatch, "walk")
     G = random_gnp(19, 0.3, seed=1)
@@ -342,24 +356,26 @@ def test_an_instance_just_outside_the_gate_walks(monkeypatch):
     assert walks and not lattices
     witness = H.separating_memo[True]
     rank = _plain_rank(H.n, H.edge_masks, witness, True)
-    monkeypatch.setattr(transversal, "_table_fits", lambda H: True)
     with pytest.raises(BudgetExceededError, match="domination search budget exceeded"):
         transversal._search(H, rank - 1, "domination", True)
     assert transversal._search(H, rank, "domination", True) == witness
+    monkeypatch.setattr(transversal, "_table_fits", lambda H: True)
+    for budget in (0, rank - 1, rank):
+        assert transversal._search(H, budget, "domination", True) == witness
 
 
-def test_a_budget_the_memo_floor_exhausts_builds_no_bitmap(monkeypatch):
+def test_a_budget_the_memo_floor_exhausts_is_not_charged_inside_the_gate(monkeypatch):
     """On random_tree(14, 2) at budget 1,000 the open side's memoised T_k
-    start LD at size 6, past C(14, 4) + C(14, 5) = 3,003 sets, so LD raises
-    before the subset lattice builds a bitmap.  A budget past that floor
-    builds it once."""
+    start LD at size 6, past C(14, 4) + C(14, 5) = 3,003 sets, which the
+    walker would charge in full.  Inside the gate the subset lattice, built
+    once, answers LD exactly (7), and a later call is served from the memo."""
     lattices = _count_calls(monkeypatch, "first_separating_set")
     G = random_tree(14, seed=2)
     report = run_report(G, budgets=Budgets(subset_budget=1000))
-    skipped = {s["stage"]: s["detail"] for s in report.skipped}
-    assert skipped["gamma-LD"] == "domination search budget exceeded"
-    assert not lattices
-    assert gamma_exact(G, "LD", subset_budget=10**7).exact == 7
+    assert report.skipped == []
+    assert report.results["domination"]["LD"]["exact"]["value"] == 7
+    assert len(lattices) == 1
+    assert gamma_exact(G, "LD", subset_budget=0).exact == 7
     assert len(lattices) == 1
 
 
@@ -441,9 +457,10 @@ def test_binding_budget_asks_reaches_nothing_past_it(monkeypatch):
 
 def test_an_exact_cut_keeps_the_budget_outcome(monkeypatch):
     """With a reach test that refuses every prefix no completion of which
-    separates, the search raises or returns at budgets rank - 1, rank and
+    separates, the walker raises or returns at budgets rank - 1, rank and
     rank + 1 exactly as the plain enumeration does, with and without
-    exempt rows: a sound cut cannot move the budget outcome."""
+    exempt rows: a sound cut cannot move the budget outcome.  The lattice
+    returns the witness at all three."""
     refused = []
 
     def exact_cut(rows, exempt):
@@ -471,9 +488,8 @@ def test_an_exact_cut_keeps_the_budget_outcome(monkeypatch):
                 monkeypatch.setattr(transversal, "reaches", exact_cut(H.edge_masks, exempt))
                 for budget in (rank - 1, rank, rank + 1):
                     fresh = Hypergraph(H.vertices, H.edges, H.allow_multi)
-                    assert _outcome(fresh, budget, exempt) == _plain_outcome(
-                        H.edge_masks, H.n, budget, exempt
-                    ), (name, H.edges, exempt, budget)
+                    plain = _plain_outcome(H.edge_masks, H.n, budget, exempt) if name == "walker" else want
+                    assert _outcome(fresh, budget, exempt) == plain, (name, H.edges, exempt, budget)
                 checked += 1
         assert checked > 400 and bool(refused) == (name == "walker"), (name, checked)
 
@@ -489,15 +505,17 @@ def _trace_table(H):
 
 
 def test_separating_set_reads_the_trace_memo(monkeypatch):
-    """With none, some or all of the exact ``T_k`` memoised, the search
+    """With none, some or all of the exact ``T_k`` memoised, the walker
     returns the plain enumeration's witness at its rank and raises exactly
     where it does, with and without exempt rows: at budgets rank - 1, rank
     and rank + 1, and at a budget that ends inside a size the memo lets it
     skip.  Sizes whose ``T_k`` is below the labels needed are charged in
-    full, and a memoised ``T_k = |rows|`` is the witness at size k."""
+    full, and a memoised ``T_k = |rows|`` is the witness at size k.  When
+    that k is the first size not ruled out, the memo proves DT, and the
+    witness is returned at every budget, as the lattice returns its own."""
     for name in _engines(monkeypatch):
         rng = random.Random(31)
-        checked = skipped = hits = 0
+        checked = skipped = hits = proven = 0
         for H, _ in _separating_cases(rng):
             table = _trace_table(H)
             for exempt in (False, True):
@@ -518,35 +536,51 @@ def test_separating_set_reads_the_trace_memo(monkeypatch):
                         budgets.append(before + rng.randint(1, comb(H.n, size)))
                         skipped += 1
                     hits += not exempt and nonempty.get(len(want)) == len(H.edge_masks)
+                    at_start = not exempt and nonempty.get(start) == len(H.edge_masks)
+                    proven += at_start
                     for budget in budgets:
                         fresh = Hypergraph(H.vertices, H.edges, H.allow_multi)
                         fresh.trace_memo.update(primed)
-                        if budget not in plain:
-                            plain[budget] = _plain_outcome(H.edge_masks, H.n, budget, exempt)
+                        if name == "walker" and not at_start:
+                            if budget not in plain:
+                                plain[budget] = _plain_outcome(H.edge_masks, H.n, budget, exempt)
+                            expected = plain[budget]
+                        else:
+                            expected = want
                         outcome = _outcome(fresh, budget, exempt)
-                        assert outcome == plain[budget], (name, H.edges, exempt, budget, primed)
+                        assert outcome == expected, (name, H.edges, exempt, budget, primed)
                         if outcome != "raise":
                             assert fresh.separating_memo[exempt] == want
                     checked += 1
-        assert checked > 1_500 and skipped > 200 and hits > 300, (name, checked, skipped, hits)
+        # Most hits prove DT; the rest, past the first size not ruled out,
+        # stay candidates the walker reaches under the budget.
+        assert checked > 1_500 and skipped > 200 and proven > 300 and hits - proven > 10, (
+            name, checked, skipped, hits, proven
+        )
 
 
-def test_separating_set_reads_a_trace_memo_filled_meanwhile():
+def test_separating_set_reads_a_trace_memo_filled_meanwhile(monkeypatch):
     """Threads that fill a hypergraph's trace memo while others run the
     separating search on it, at rising budgets up to the witness's rank,
     neither break a search nor move its outcome: the search reads a
-    snapshot of the memo, never the live dict."""
+    snapshot of the memo, never the live dict.  The lattice gives the
+    witness at every budget.  The walker runs LD, whose budget outcome the
+    memo never moves; a DT the filled memo proves would be served below
+    its rank, so when the fill lands would decide the outcome."""
     rng = random.Random(37)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(120):
+        for i in range(120):
             H = random_simple(rng, max_n=10, max_m=20, min_m=8)
+            name = ("default", "walker")[i % 2]
+            monkeypatch.setattr(transversal, "_table_fits", ENGINES[name])
             want = []
-            for exempt in (False, True):
+            for exempt in (False, True) if name == "default" else (True,):
                 witness = plain_separating_set(H.edge_masks, H.n, 10**7, exempt)
                 rank = _plain_rank(H.n, H.edge_masks, witness, exempt)
-                want += [(exempt, b, None) for b in range(1, min(rank, 40))]
+                below = witness if name == "default" else None
+                want += [(exempt, b, below) for b in range(min(rank, 40))]
                 want.append((exempt, rank, witness))
             got, errors = [], []
             start = threading.Barrier(4)
@@ -672,21 +706,21 @@ def test_report_shares_dt_searches_with_id_and_old(monkeypatch):
 
 def test_skip_is_remembered_per_budget(monkeypatch):
     """gamma-ID raises without searching once DT-closed is skipped at the
-    same budget, under its own label; a larger budget searches again."""
+    same budget, under its own label; a larger budget searches again.  The
+    20-vertex tree is above the trace table's gate, so the walker runs."""
     searches = _count_calls(monkeypatch, "_search")
-    for name in _engines(monkeypatch):
-        searches.clear()
-        G = random_tree(14, seed=2)
-        closed = neighborhood_hypergraph(G, closed=True)
-        report = run_report(G, budgets=Budgets(subset_budget=1000))
-        skipped = {s["stage"]: s["detail"] for s in report.skipped}
-        assert skipped["dt-closed"] == "transversal search budget exceeded"
-        assert skipped["gamma-ID"] == "domination search budget exceeded"
-        assert [args[1] for args in searches if args[0] is closed] == [1000], name
-        with pytest.raises(BudgetExceededError, match="domination search budget exceeded"):
-            gamma_exact(G, "ID", subset_budget=999)
-        assert gamma_exact(G, "ID", subset_budget=10**7).exact == dt_exact(closed).value
-        assert [args[1] for args in searches if args[0] is closed] == [1000, 10**7], name
+    G = random_tree(20, seed=3)
+    closed = neighborhood_hypergraph(G, closed=True)
+    assert not trace._table_fits(closed)
+    report = run_report(G, budgets=Budgets(subset_budget=1000))
+    skipped = {s["stage"]: s["detail"] for s in report.skipped}
+    assert skipped["dt-closed"] == "transversal search budget exceeded"
+    assert skipped["gamma-ID"] == "domination search budget exceeded"
+    assert [args[1] for args in searches if args[0] is closed] == [1000]
+    with pytest.raises(BudgetExceededError, match="domination search budget exceeded"):
+        gamma_exact(G, "ID", subset_budget=999)
+    assert gamma_exact(G, "ID", subset_budget=10**7).exact == dt_exact(closed).value
+    assert [args[1] for args in searches if args[0] is closed] == [1000, 10**7]
 
 
 def test_dt_runs_past_a_low_recursion_limit():
