@@ -10,10 +10,11 @@ min(|E|, k+1).  The binomial-sum bound driven by VC dimension is
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from operator import eq
 
@@ -275,6 +276,10 @@ def _search_exact(H: Hypergraph, k: int, include_empty: bool) -> tuple[int, tupl
     prefix whose last pick is one, closes the node when an earlier pick is
     one or too few later positions are not, and answers with its reach
     stripped of them, so the walk no longer visits them below the prefix.
+    Once ``best + 1`` is the full count, ``2^k`` (``2^k - 1`` without the
+    empty trace), ``shattering_reach`` replaces ``reaches``: the reach is
+    narrowed to the positions it returns, and a prefix with too few left
+    is refused, not closed, since a later sibling has other common edges.
     The with-empty value is ``T_k + 1`` with the nonempty witness ``W`` when
     some edge misses ``W``: no k-set has more, and every earlier one has at
     most ``T_k``.  Only a strictly larger count replaces the witness, so no
@@ -289,10 +294,10 @@ def _search_exact(H: Hypergraph, k: int, include_empty: bool) -> tuple[int, tupl
         if any(not em & wmask for em in masks):
             memo[key] = result = (value + 1, witness)
             return result
-    if include_empty:
-        ceiling = min(len(masks), 1 << k)
-    else:
-        ceiling = min(len(masks) - (0 in masks), (1 << k) - 1)
+    # Only a k-set that every one of its subsets but perhaps the empty one
+    # traces carries ``full`` traces.
+    full = (1 << k) - (not include_empty)
+    ceiling = min(len(masks) - (not include_empty and 0 in masks), full)
     best = -1
     best_mask = 0
     # Once T_{k-1} is memoised, ``low`` holds the positions of too low a
@@ -312,7 +317,12 @@ def _search_exact(H: Hypergraph, k: int, include_empty: bool) -> tuple[int, tupl
         reach &= ~low
         if (reach >> (p + 1)).bit_count() < left:
             return None
-        return reaches(masks, prefix, reach, left, include_empty, best + 1) and reach
+        if best + 1 < full:
+            return reaches(masks, prefix, reach, left, include_empty, best + 1) and reach
+        # A later sibling has other common edges, so a short mask refuses
+        # this prefix alone.
+        reach &= shattering_reach(H, prefix, p, left)
+        return (reach >> (p + 1)).bit_count() >= left and reach
 
     for s in walk(H.n, k, keep):
         if s & low:
@@ -403,6 +413,28 @@ def walk(n: int, k: int, keep: Callable[[int, int, int, int], int | bool | None]
             return
         low, play = levels.pop()
         smask ^= low
+
+
+def shattering_reach(H: Hypergraph, prefix: int, p: int, left: int) -> int:
+    """The mask of the positions after ``p`` that may complete the nonempty
+    ``prefix``, whose last pick is ``p``, by ``left`` more positions to a
+    set that carries every trace holding the prefix; 0 when too few
+    edges hold the prefix for any set to.
+
+    Each of those ``2^left`` traces is left by its own distinct edge that
+    holds the prefix, so at least ``2^left`` such edges must exist, and
+    each later position of the set lies in the ``2^(left-1)`` of them
+    whose traces hold it.  A shattered set carries every such trace, and
+    so does a set that carries every nonempty trace, since the prefix is
+    nonempty.  Read off ``H.incidence``, the distinct nonempty edges.
+    """
+    _, edge_ids, members = H.incidence
+    common = set(edge_ids[p]).intersection(*map(edge_ids.__getitem__, bits(prefix ^ 1 << p)))
+    if len(common) < 1 << left:
+        return 0
+    need = 1 << (left - 1)
+    counts = Counter(chain.from_iterable(map(members.__getitem__, common)))
+    return sum(1 << q for q, c in counts.items() if c >= need and q > p)
 
 
 def reaches(

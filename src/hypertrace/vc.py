@@ -9,7 +9,9 @@ walks the k-sets with ``trace.walk`` and reads the edges through
 ``H.incidence``, never through n-bit edge masks.  If a k-set shatters,
 each of its 2^(k-j) traces that hold j given vertices of it is left by its
 own edge, so at least 2^(k-j) distinct edges contain those vertices, and
-the set, itself a trace, lies inside their union.
+each other vertex of the set lies in at least 2^(k-j-1) of them.  The
+trace search's ``shattering_reach`` applies this co-occurrence rule to
+every prefix, for both searches.
 Before walking a size d the search reads ``H.trace_memo``: vc(H) is the
 largest d with ``T_d = 2^d``, the empty trace included, so a held ``T_d``
 answers the size, and a held nonempty ``T_d`` below ``2^d - 1`` rules it
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from .degeneracy import reduced_degeneracy
 from .errors import BudgetExceededError
 from .hypergraph import Hypergraph, bits
-from .trace import SUBSET_BUDGET_DEFAULT, walk
+from .trace import SUBSET_BUDGET_DEFAULT, shattering_reach, walk
 
 
 @dataclass(frozen=True)
@@ -76,10 +78,11 @@ def vc_exact(H: Hypergraph, node_budget: int = SUBSET_BUDGET_DEFAULT) -> VcResul
     shatters, no larger set can (subsets of shattered sets are shattered),
     so the search exits early.  Within one size it tests the sets ``walk``
     yields in lexicographic order, so the reported witness is the
-    lexicographically first.  Its ``keep`` refuses a prefix that fewer
-    than ``2^left`` distinct edges contain and narrows the prefix's
-    completions to the union of those edges; neither drops a shattered
-    set.  ``_shattered`` tests each set, as ``is_shattered`` does.
+    lexicographically first.  Its ``keep`` is ``shattering_reach``: it
+    refuses a prefix that fewer than ``2^left`` distinct edges contain and
+    narrows the prefix's completions to the positions that at least
+    ``2^(left-1)`` of those edges hold; neither drops a shattered set.
+    ``_shattered`` tests each set, as ``is_shattered`` does.
     A size the trace memo holds is not walked.  A held ``T_d`` with the
     empty trace answers it: only a shattered d-set reaches ``2^d``, and the
     held witness is the lexicographically first d-set that does, the one
@@ -90,13 +93,8 @@ def vc_exact(H: Hypergraph, node_budget: int = SUBSET_BUDGET_DEFAULT) -> VcResul
     bounds them, so a memo answer is served at any budget.  The memo is
     read, never filled: a standalone call on a fresh hypergraph walks.
     """
-    edges, edge_ids, _ = H.incidence
-
-    def keep(prefix: int, reach: int, p: int, left: int) -> int | bool:
-        common = set(edge_ids[p]).intersection(*map(edge_ids.__getitem__, bits(prefix ^ 1 << p)))
-        if len(common) < 1 << left:
-            return False
-        return sum(1 << q for q in set().union(*map(edges.__getitem__, common)) if q > p)
+    def keep(prefix: int, reach: int, p: int, left: int) -> int:
+        return shattering_reach(H, prefix, p, left)
 
     cap = vc_upper_bound(H)
     memo = H.trace_memo

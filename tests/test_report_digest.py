@@ -10,7 +10,7 @@ inside it show that nothing there is refused.
 import importlib.util
 from pathlib import Path
 
-DIGEST = "bc92be94d2306d3c72037b34409c1a6ab256288a6f8ecfa3ed2fa63be28fc745  486 reports"
+DIGEST = "d52f460e93f5cd688276cb873ef64afa51b985ee5f17eec21ccb5f8c4edf10f1  486 reports"
 
 
 def test_report_digest_is_pinned():

@@ -363,6 +363,50 @@ def test_trace_search_work_guard(monkeypatch, build, k_empty, parent_calls, cut)
         assert calls or name == "default"
 
 
+def test_search_matches_the_oracle_where_the_full_count_is_sought(monkeypatch):
+    # Above the gate (n = 19-22), edges of 1-4 vertices, duplicate and empty
+    # edges among them: T_2 and T_3 often reach or seek 2^k - 1 (2^k with
+    # the empty trace), where the shattering cut replaces ``reaches``.  Each
+    # value is asked on a fresh hypergraph and again in a report's order,
+    # where the degree cut and the with-empty reading come in.
+    calls = []
+    original = trace.shattering_reach
+    monkeypatch.setattr(trace, "shattering_reach", lambda *args: calls.append(args) or original(*args))
+    rng = random.Random(19)
+    outcomes = set()
+    for _ in range(12):
+        n = rng.randint(19, 22)
+        base = random_hypergraph(n, rng.randint(n, 3 * n), max_edge_size=4, seed=rng, allow_multi=True)
+        edges = list(base.edges) + rng.sample(base.edges, 2) + [frozenset()] * rng.randint(0, 1)
+        H = Hypergraph(base.vertices, tuple(edges), allow_multi=True)
+        assert not trace._table_fits(H)
+        ordered = Hypergraph(H.vertices, H.edges, allow_multi=True)
+        for k in (1, 2, 3):
+            for include_empty in (False, True):
+                want = brute_trace_function(H, k, include_empty)
+                fresh = Hypergraph(H.vertices, H.edges, allow_multi=True)
+                assert trace._search_exact(fresh, k, include_empty) == want, (H.edges, k, include_empty)
+                assert trace._search_exact(ordered, k, include_empty) == want, (H.edges, k, include_empty)
+                if k > 1:
+                    outcomes.add(want[0] == (1 << k) - (not include_empty))
+    assert calls and outcomes == {False, True}
+
+
+def test_a_search_for_the_full_count_asks_reaches_little(monkeypatch):
+    # h50's nonempty T_3 after T_2 finds 6 after a few triples and then
+    # seeks 7 = 2^3 - 1, which only a triple every nonempty subset traces
+    # reaches.  Without the shattering cut, ``reaches`` rules out 7 in
+    # 460 calls.
+    calls = []
+    original = trace.reaches
+    monkeypatch.setattr(trace, "reaches", lambda *args: calls.append(args) or original(*args))
+    H = random_hypergraph(50, 66, max_edge_size=6, seed=37)
+    trace_function_exact(H, 2)
+    calls.clear()
+    assert trace_function_exact(H, 3) == (6, (0, 4, 12))
+    assert len(calls) <= 10, len(calls)
+
+
 def test_exact_stops_at_the_ceiling():
     # T_11 of the closed neighbourhoods of G(22, 0.3) reaches min(22, 2^11 - 1)
     # early; enumerating all C(22, 11) = 705,432 subsets is not needed.

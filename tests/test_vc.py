@@ -22,7 +22,7 @@ from hypertrace import trace, vc
 from hypertrace.bench import instance_for_weight
 from hypertrace.errors import BudgetExceededError
 from hypertrace.generate import random_hypergraph
-from oracles import brute_is_shattered, brute_vc, mask_is_shattered
+from oracles import brute_is_shattered, brute_vc, mask_is_shattered, traces_on
 
 
 def random_hg(rng, max_n=8, max_m=14):
@@ -247,6 +247,33 @@ def test_vc_matches_the_oracle_on_sparse_ids_with_repeated_and_empty_edges():
     assert sizes >= {0, 1, 2, 3}, sizes
 
 
+def test_the_shattering_cut_keeps_every_prefix_of_a_full_set():
+    # For every k-set that is shattered, or that every nonempty subset
+    # traces, and every prefix of it, the cut keeps the prefix and its mask
+    # holds the set's later positions.  Sparse ids, duplicate and empty
+    # edges.  The cut must also drop some later positions of other sets,
+    # or it would keep everything vacuously.
+    rng = random.Random(33)
+    kept, dropped = set(), 0
+    for i in range(240):
+        H = sparse_hg(rng, i)
+        pos = H.vertex_pos
+        for k in range(2, min(H.n, 4) + 1):
+            for S in combinations(sorted(H.vertices), k):
+                shattered = brute_is_shattered(H, S)
+                full = shattered or len(traces_on(H, S)) == (1 << k) - 1
+                picks = [pos[v] for v in S]
+                for j in range(1, k):
+                    prefix = sum(1 << q for q in picks[:j])
+                    later = sum(1 << q for q in picks[j:])
+                    holds = trace.shattering_reach(H, prefix, picks[j - 1], k - j) & later == later
+                    assert holds or not full, (H.edges, S, j)
+                    dropped += not holds
+                if full:
+                    kept.add((k, shattered))
+    assert {(2, True), (2, False), (3, True)} <= kept and dropped, kept
+
+
 def test_vc_work_guard_on_the_10k_weight_bench_instance():
     # Sets tested, not seconds, so the guard reads the same on any host.
     # Testing the distinct k-subsets of every edge in order tests 156,783.
@@ -283,10 +310,12 @@ def test_vc_reads_the_trace_table():
 def test_vc_reads_held_values_outside_the_gate():
     # h50 (n = 50) is outside the table's gate.  T_2 with the empty trace
     # is 4 = 2^2, which answers size 2, and the bounds' nonempty T_3 is
-    # below 2^3 - 1, which rules out size 3: no set is tested.
+    # below 2^3 - 1, which rules out size 3: no set is tested.  A fresh
+    # walk tests 34 sets: one vertex, one pair, and the 32 triples the
+    # shattering cut leaves in play (116 without it).
     build = lambda: random_hypergraph(50, 66, max_edge_size=6, seed=37)
     walked = vc_exact(build())
-    assert walked.nodes_enumerated == 118
+    assert walked.nodes_enumerated == 34
     H = build()
     for k in (1, 2):
         for include_empty in (False, True):
